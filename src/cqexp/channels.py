@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .qlinalg import DensityOperator, overlap, von_neumann_entropy
-from .search import golden_section_maximize
+from .search import golden_section_maximize, maximize_on_grid
 
 DIST_TOL = 1e-12
 ROW_TOL = 1e-12
@@ -45,11 +45,11 @@ class InputDistribution:
         p = np.asarray(self.probabilities, dtype=float).ravel()
         if p.size == 0:
             raise ValueError("input distribution must have at least one symbol")
-        if float(p.min()) < -DIST_TOL:
+        if not float(p.min()) >= -DIST_TOL:
             raise ValueError(f"input distribution has a negative entry: {float(p.min()):.3e}")
         p = np.where(p < 0.0, 0.0, p)
         total = float(p.sum())
-        if abs(total - 1.0) > DIST_TOL:
+        if not abs(total - 1.0) <= DIST_TOL:
             raise ValueError(f"input distribution sums to {total:.12g}, not 1 within {DIST_TOL:g}")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
@@ -169,10 +169,10 @@ def from_classical_dmc(w, q) -> CQChannel:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"transition matrix must be 2-d, got shape {w.shape}")
-    if float(w.min()) < 0.0:
+    if not float(w.min()) >= 0.0:
         raise ValueError(f"transition matrix has a negative entry: {float(w.min()):.3e}")
     rows = w.sum(axis=1)
-    bad = np.abs(rows - 1.0) > ROW_TOL
+    bad = ~(np.abs(rows - 1.0) <= ROW_TOL)
     if bad.any():
         idx = int(np.argmax(bad))
         raise ValueError(f"row {idx} of the transition matrix sums to {rows[idx]:.12g}, not 1")
@@ -229,16 +229,8 @@ def optimize_input(channel: CQChannel, tol: float = 1e-6) -> tuple[InputDistribu
 
     if k == 2:
         f = lambda t: value(np.array([t, 1.0 - t]))
-        grid = np.linspace(0.0, 1.0, 33)
-        vals = [f(t) for t in grid]
-        j = int(np.argmax(vals))
-        lo = grid[max(j - 1, 0)]
-        hi = grid[min(j + 1, grid.size - 1)]
-        t, ft = golden_section_maximize(f, lo, hi, tol=1e-9)
-        if vals[j] > ft:
-            t, ft = grid[j], vals[j]
-        best = np.array([t, 1.0 - t])
-        return InputDistribution(best), float(ft)
+        t, ft = maximize_on_grid(f, np.linspace(0.0, 1.0, 33), tol=1e-9)
+        return InputDistribution(np.array([t, 1.0 - t])), ft
 
     p = np.full(k, 1.0 / k)
     best = value(p)

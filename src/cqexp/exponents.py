@@ -212,8 +212,8 @@ def sweep(channel: CQChannel, rates) -> ExponentCurve:
     r = np.asarray(rates, dtype=float).ravel()
     if r.size == 0:
         raise ValueError("rate grid is empty")
-    if float(r.min()) < 0:
-        raise ValueError("rates must be nonnegative")
+    if not (np.isfinite(r).all() and float(r.min()) >= 0):
+        raise ValueError("rates must be finite and nonnegative")
     if np.any(np.diff(r) < 0):
         raise ValueError("rates must be sorted ascending")
     return [trc_lower_bound(channel, float(x)) for x in r]

@@ -37,9 +37,10 @@ def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    drift = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if drift > tol:
-        raise ValueError(f"matrix is not Hermitian: max |a - a^dagger| = {drift:.3e}")
+    with np.errstate(invalid="ignore"):  # any non-finite entry leaves an inf or NaN drift
+        drift = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if not drift <= tol:
+        raise ValueError(f"matrix is not Hermitian or not finite: max |a - a^dagger| = {drift:.3e}")
     return hermitianize(m)
 
 
@@ -71,7 +72,7 @@ def hermitian_eig(m) -> Spectrum:
 
 def _clamp_psd(w: np.ndarray, context: str) -> np.ndarray:
     """Zero out eigenvalues in [-1e-10, 0); reject anything more negative."""
-    if w.size and float(w.min()) < -EIGENVALUE_CLAMP:
+    if w.size and not float(w.min()) >= -EIGENVALUE_CLAMP:
         raise ValueError(
             f"{context}: eigenvalue {float(w.min()):.3e} is below -{EIGENVALUE_CLAMP:.0e}; "
             "matrix is not positive semidefinite"
@@ -93,7 +94,7 @@ class DensityOperator:
     def __post_init__(self):
         m = require_hermitian(self.matrix)
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density operator trace {tr:.12g} is not 1 within {TRACE_TOL:g}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

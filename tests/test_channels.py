@@ -37,6 +37,16 @@ def test_input_distribution_validation():
         InputDistribution([])
 
 
+def test_non_finite_distributions_are_rejected():
+    for q in ([math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.0]):
+        with pytest.raises(ValueError):
+            InputDistribution(q)
+    with pytest.raises(ValueError):
+        from_classical_dmc([[math.nan, 1.0], [0.5, 0.5]], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        channel_from_config({"kind": "classical", "w": [[0.9, math.nan], [0.1, 0.9]]})
+
+
 def test_channel_valid_orthogonal():
     ch = CQChannel(
         (DensityOperator.from_pure([1, 0]), DensityOperator.from_pure([0, 1])),

@@ -111,6 +111,16 @@ def test_exponents_bad_grid_flag(tmp_path, capsys, grid):
     assert "grid" in capsys.readouterr().err
 
 
+def test_exponents_non_finite_grid(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"channel": PAULI_DOC,
+                                  "grid": {"min": 0.0, "max": math.inf, "count": 3}})
+    assert cli.main(["exponents", "--config", cfg]) == 1
+    assert "grid" in capsys.readouterr().err
+    for grid in ("0:inf:3", "nan:0.5:3", "0:nan:3"):
+        assert cli.main(["exponents", "--config", cfg, f"--grid={grid}"]) == 1
+        assert "grid" in capsys.readouterr().err
+
+
 def test_exponents_no_grid_anywhere(tmp_path, capsys):
     cfg = write_config(tmp_path, PAULI_DOC)
     assert cli.main(["exponents", "--config", cfg]) == 1
@@ -195,6 +205,33 @@ def test_simulate_gamma_requires_exhaustive(tmp_path, capsys):
                      "--trials", "10", "--gamma", "4"])
     assert code == 1
     assert "exhaustive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--trials", "300", "--gamma", "4"],
+    ["--exhaustive", "--gamma", "0.5"],
+    ["--exhaustive", "--gamma", "nan"],
+    ["--exhaustive", "--r-list", "1,nan"],
+])
+def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr("cqexp.ensemble.pgm_povm",
+                        lambda states: pytest.fail("a codebook was decoded before the refusal"))
+    cfg = write_config(tmp_path, PAULI_DOC)
+    assert cli.main(["simulate", "--config", cfg, "--m", "2", "--n", "2"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m", "three"), ("n", [2]), ("trials", "many"), ("seed", math.inf),
+    ("gamma", "big"), ("r_list", ["1", "two"]), ("r_list", 4),
+])
+def test_simulate_non_numeric_config_value(tmp_path, capsys, key, value):
+    doc = {"channel": PAULI_DOC, "m": 2, "n": 1, "trials": 5, key: value}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err
 
 
 def test_simulate_missing_block_parameters(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Finite-blocklength ensemble runs: codebooks, decoding, bound verdicts."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -12,10 +13,12 @@ from cqexp import (
     Codebook,
     DensityOperator,
     InputDistribution,
+    MarkovCheck,
     PauliChannelParams,
     binary_pauli,
     enumerate_codebooks,
     error_probability,
+    from_classical_dmc,
     helstrom_error,
     pgm_povm,
     product_state,
@@ -298,6 +301,12 @@ def test_run_ensemble_validation():
         run_ensemble(ch, 2, 2)
     with pytest.raises(ValueError, match=">= 1"):
         run_ensemble(ch, 2, 2, trials=100, r_list=(0.5,))
+    with pytest.raises(ValueError, match="finite"):
+        run_ensemble(ch, 2, 2, trials=100, r_list=(1.0, math.nan))
+    with pytest.raises(ValueError, match="exhaustive"):
+        run_ensemble(ch, 2, 2, trials=100, gamma=4.0)
+    with pytest.raises(ValueError, match="at least 1"):
+        run_ensemble(ch, 2, 2, exhaustive=True, gamma=0.5)
 
 
 def test_run_ensemble_infinite_exponent_samples():
@@ -353,3 +362,27 @@ def test_markov_bound_validation():
         verify_markov_bound(ch, 2, 2, 0.0, 2.0)
     with pytest.raises(ValueError, match="at least 1"):
         verify_markov_bound(ch, 2, 2, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("ch, m, n", [
+    (pauli_channel(0.95), 2, 2),
+    (from_classical_dmc([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5]), 3, 2),
+])
+def test_run_ensemble_markov_checks_match_verify_markov_bound(ch, m, n):
+    r_list, gamma = (1.0, 2.0, 4.0), 16.0
+    report = run_ensemble(ch, m, n, exhaustive=True, r_list=r_list, gamma=gamma)
+    assert [r for r, _ in report.markov_checks] == list(r_list)
+    for r, check in report.markov_checks:
+        assert check == verify_markov_bound(ch, m, n, r, gamma)
+    with_gamma = report.to_json_dict()
+    assert [c["r"] for c in with_gamma.pop("markov_checks")] == list(r_list)
+    assert with_gamma == run_ensemble(ch, m, n, exhaustive=True, r_list=r_list).to_json_dict()
+
+
+def test_report_all_passed_covers_markov_checks():
+    report = run_ensemble(pauli_channel(0.95), 2, 1, exhaustive=True, r_list=(1.0,), gamma=4.0)
+    assert report.all_passed
+    failed = MarkovCheck(lhs_probability=0.5, bound=0.25, passed=False)
+    broken = dataclasses.replace(report, markov_checks=((1.0, failed),))
+    assert not broken.all_passed
+    assert broken.to_json_dict()["markov_checks"][0]["verdict"] == "FAIL"

@@ -267,6 +267,8 @@ def test_sweep_structure_and_validation():
         sweep(ch, [0.3, 0.1])
     with pytest.raises(ValueError, match="nonnegative"):
         sweep(ch, [-0.1, 0.2])
+    with pytest.raises(ValueError, match="finite"):
+        sweep(ch, [0.1, math.nan])
     with pytest.raises(ValueError, match="empty"):
         sweep(ch, [])
 

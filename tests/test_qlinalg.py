@@ -100,6 +100,16 @@ def test_density_operator_validation():
         DensityOperator(bad).spectrum
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_non_finite_matrices_are_rejected(entry):
+    m = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    m[0, 0] = entry
+    with pytest.raises(ValueError):
+        require_hermitian(m)
+    with pytest.raises(ValueError):
+        DensityOperator(m)
+
+
 def test_density_operator_clamps_tiny_negatives():
     rho = DensityOperator(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
     assert rho.eigenvalues[1] == 0.0
