@@ -22,6 +22,7 @@ from .search import golden_section_maximize, maximize_on_grid
 
 DIST_TOL = 1e-12
 ROW_TOL = 1e-12
+ASCENT_TOL = 1e-6  # coordinate ascent stops when a full sweep gains less (bits)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -211,7 +212,7 @@ def _with_distribution(channel: CQChannel, p: np.ndarray) -> CQChannel:
     return CQChannel(channel.states, InputDistribution(p))
 
 
-def optimize_input(channel: CQChannel, tol: float = 1e-6) -> tuple[InputDistribution, float]:
+def optimize_input(channel: CQChannel) -> tuple[InputDistribution, float]:
     """Maximize Holevo information over the input simplex (alphabets up to 8).
 
     Binary inputs use a grid plus golden-section search on Q(0).  Larger
@@ -229,7 +230,7 @@ def optimize_input(channel: CQChannel, tol: float = 1e-6) -> tuple[InputDistribu
 
     if k == 2:
         f = lambda t: value(np.array([t, 1.0 - t]))
-        t, ft = maximize_on_grid(f, np.linspace(0.0, 1.0, 33), tol=1e-9)
+        t, ft = maximize_on_grid(f, np.linspace(0.0, 1.0, 33))
         return InputDistribution(np.array([t, 1.0 - t])), ft
 
     p = np.full(k, 1.0 / k)
@@ -248,12 +249,12 @@ def optimize_input(channel: CQChannel, tol: float = 1e-6) -> tuple[InputDistribu
                     trial[j] = span - t
                     return value(trial)
 
-                t, ft = golden_section_maximize(move, 0.0, span, tol=1e-9)
+                t, ft = golden_section_maximize(move, 0.0, span)
                 if ft > best:
                     gained += ft - best
                     best = ft
                     p[i], p[j] = t, span - t
-        if gained < tol:
+        if gained < ASCENT_TOL:
             break
     return InputDistribution(p), float(best)
 

@@ -10,9 +10,9 @@ Subcommands::
 The config file is either a bare channel document ({"kind": ...}) or a run
 document with a "channel" key plus defaults for grid / m / n / trials /
 seed / r_list / gamma / exhaustive.  Command-line flags override config
-values.  Exit codes: 0 success, 1 invalid configuration, 2 a bound verdict
-failed.  Output is deterministic: identical configs and seeds give
-byte-identical files.  Infinities are serialized as the string "inf".
+values.  Exit codes: 0 success, 1 invalid configuration or unwritable
+output, 2 a bound verdict failed.  Output is deterministic: identical
+configs and seeds give byte-identical files.  Infinities are written "inf".
 """
 
 from __future__ import annotations
@@ -119,9 +119,12 @@ def _rates(args, run: dict) -> np.ndarray:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -190,7 +193,9 @@ def cmd_simulate(args) -> int:
     n = _param(run, "n", args.n, required=True)
     seed = _param(run, "seed", args.seed) or 0
     trials = _param(run, "trials", args.trials)
-    exhaustive = bool(args.exhaustive or run.get("exhaustive", False))
+    exhaustive = args.exhaustive or run.get("exhaustive", False)
+    if not isinstance(exhaustive, bool):
+        raise CliError(f"'exhaustive' must be true or false, got {exhaustive!r}")
     r_flag = None if args.r_list is None else args.r_list.split(",")
     r_list = _param(run, "r_list", r_flag, convert=lambda v: tuple(float(t) for t in v))
     gamma = _param(run, "gamma", args.gamma, convert=float)

@@ -146,11 +146,15 @@ def _check_dims(channel: CQChannel, n: int) -> None:
         )
 
 
-def sample_codebook(channel: CQChannel, m: int, n: int, seed: int) -> Codebook:
-    """Draw M codewords of length n i.i.d. from Q, reproducibly from the seed."""
+def _check_book(channel: CQChannel, m: int, n: int) -> None:
     if m < 2:
         raise ValueError(f"need at least two codewords, got {m}")
     _check_dims(channel, n)
+
+
+def sample_codebook(channel: CQChannel, m: int, n: int, seed: int) -> Codebook:
+    """Draw M codewords of length n i.i.d. from Q, reproducibly from the seed."""
+    _check_book(channel, m, n)
     rng = np.random.default_rng(seed)
     words = rng.choice(channel.alphabet_size, size=(m, n), p=channel.q.probabilities)
     return Codebook(m=m, n=n, codewords=words, provenance=("sampled", int(seed)))
@@ -159,11 +163,11 @@ def sample_codebook(channel: CQChannel, m: int, n: int, seed: int) -> Codebook:
 def enumerate_codebooks(channel: CQChannel, m: int, n: int
                         ) -> Iterator[tuple[Codebook, float]]:
     """Yield every codebook with its product probability under Q x ... x Q."""
+    _check_book(channel, m, n)
     k = channel.alphabet_size
     total = k ** (m * n)
     if total > ENUM_CAP:
         raise ValueError(f"enumeration space {k}**{m * n} exceeds the cap 2**20")
-    _check_dims(channel, n)
     q = channel.q.probabilities
     for idx, flat in enumerate(itertools.product(range(k), repeat=m * n)):
         words = np.reshape(flat, (m, n))
@@ -208,6 +212,15 @@ def pgm_povm(states) -> list[np.ndarray]:
     return [b @ m @ b for m in mats]
 
 
+def _message_errors(states, povm) -> np.ndarray:
+    """1 - Tr{Pi_m sigma_m} for each message, clamped to [0, 1]."""
+    if any(elem.shape != state.matrix.shape for state, elem in zip(states, povm)):
+        raise ValueError("POVM element dimension does not match the product state")
+    hits = [complex(np.einsum("ij,ji->", elem, state.matrix)).real
+            for state, elem in zip(states, povm)]
+    return np.clip(1.0 - np.array(hits), 0.0, 1.0)
+
+
 def error_probability(channel: CQChannel, book: Codebook, povm) -> DecodingResult:
     """Per-message and average error of a POVM on the codebook's product states.
 
@@ -216,13 +229,7 @@ def error_probability(channel: CQChannel, book: Codebook, povm) -> DecodingResul
     """
     if len(povm) != book.m:
         raise ValueError(f"POVM has {len(povm)} elements for {book.m} codewords")
-    errs = np.empty(book.m)
-    for i, word in enumerate(book.codewords):
-        state = product_state(channel, word)
-        if povm[i].shape != state.matrix.shape:
-            raise ValueError("POVM element dimension does not match the product state")
-        hit = complex(np.einsum("ij,ji->", povm[i], state.matrix)).real
-        errs[i] = min(max(1.0 - hit, 0.0), 1.0)
+    errs = _message_errors([product_state(channel, w) for w in book.codewords], povm)
     errs.setflags(write=False)
     return DecodingResult(per_message_error=errs, average_error=float(errs.mean()))
 
@@ -242,8 +249,8 @@ def helstrom_error(a: DensityOperator, b: DensityOperator) -> float:
 
 def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = True,
                      trials: int | None = None, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Decode each enumerated (or drawn) codebook once with the square-root
-    measurement; return the codebook probabilities and average errors, aligned."""
+    """Decode each enumerated (or drawn) codebook once, building its product states
+    once; return the codebook probabilities and average errors, aligned."""
     if exhaustive:
         pairs = enumerate_codebooks(channel, m, n)
     else:
@@ -255,7 +262,7 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     weights, pes = [], []
     for book, weight in pairs:
         states = [product_state(channel, w) for w in book.codewords]
-        pes.append(error_probability(channel, book, pgm_povm(states)).average_error)
+        pes.append(float(_message_errors(states, pgm_povm(states)).mean()))
         weights.append(weight)
     return np.array(weights), np.array(pes)
 
@@ -278,8 +285,9 @@ def _tilted_bound(channel: CQChannel, m: int, n: int, r: float) -> float:
     return float(m ** (1.0 - 1.0 / r) * (m - 1) * z ** n)
 
 
-def _verdict(empirical: float, bound: float, slack: float) -> str:
-    return "PASS" if empirical <= bound + slack else "FAIL"
+def _bound_check(name: str, bound: float, empirical: float, slack: float) -> BoundCheck:
+    verdict = "PASS" if empirical <= bound + slack else "FAIL"
+    return BoundCheck(name=name, bound=bound, empirical=empirical, slack=slack, verdict=verdict)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -330,11 +338,7 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
         return MC_SIGMAS * math.sqrt(var / trials)
 
     rc_bound = _rc_mean_bound(channel, m, n)
-    rc_slack = slack_for(pes, mean_pe)
-    checks.append(BoundCheck(
-        name="mean_error_bound", bound=rc_bound, empirical=mean_pe,
-        slack=rc_slack, verdict=_verdict(mean_pe, rc_bound, rc_slack),
-    ))
+    checks.append(_bound_check("mean_error_bound", rc_bound, mean_pe, slack_for(pes, mean_pe)))
 
     tilted_means: dict[float, float] = {}
     for r in r_list:
@@ -349,10 +353,7 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
             # delta method: d(x^r)/dx at the tilted mean scales the 3-sigma slack
             base = slack_for(tilted, mean_tilted)
             slack = base * r * mean_tilted ** (r - 1.0) if r != 1.0 else base
-        checks.append(BoundCheck(
-            name=f"tilted_mean_bound_r{r:g}", bound=bound_pow, empirical=emp_pow,
-            slack=slack, verdict=_verdict(emp_pow, bound_pow, slack),
-        ))
+        checks.append(_bound_check(f"tilted_mean_bound_r{r:g}", bound_pow, emp_pow, slack))
 
     samples = tuple(
         -math.log2(p) / n if p > 0.0 else math.inf

@@ -37,8 +37,7 @@ from .search import maximize_on_grid
 
 S_GRID_POINTS = 257
 R_GRID_POINTS = 257
-R_MAX_DEFAULT = 1e4
-PARAM_TOL = 1e-9
+R_MAX = 1e4  # the expurgated maximization searches r in [1, R_MAX]
 DIVERGENCE_MARGIN = 1e-9
 OVERLAP_POS_TOL = 1e-12
 
@@ -131,17 +130,18 @@ def random_coding_exponent(channel: CQChannel, rate: float) -> ExponentValue:
     def objective(s: float) -> float:
         return e0(channel, s) - s * rate
 
-    s_best, v_best = maximize_on_grid(objective, _S_GRID, tol=PARAM_TOL, values=grid_vals)
+    s_best, v_best = maximize_on_grid(objective, _S_GRID, values=grid_vals)
     if v_best <= 0.0 or s_best <= 1e-12:
         return ExponentValue(0.0, 0.0, True)
     return ExponentValue(float(v_best), float(s_best), True)
 
 
-def _overlap_tilt(channel: CQChannel, t: float) -> float:
-    """Z(t) = sum_{x,x'} Q(x) Q(x') g(x,x')^t for t > 0 (0**t == 0)."""
+def _ex(channel: CQChannel, r):
+    """Ex at one order or an array of orders r > 0: -r log2 sum Q(x) Q(x') g(x,x')^(1/r)."""
     g = channel.overlap_gram
     q = channel.q.probabilities
-    return float(q @ (g ** t) @ q)
+    t = np.divide(1.0, r)[..., None, None]
+    return -r * np.log2((q @ g ** t) @ q)  # 0**t == 0 for t > 0
 
 
 def ex_function(channel: CQChannel, r: float) -> float:
@@ -152,32 +152,23 @@ def ex_function(channel: CQChannel, r: float) -> float:
     """
     if not r > 0:
         raise ValueError(f"Ex order must be positive, got {r}")
-    return float(-r * np.log2(_overlap_tilt(channel, 1.0 / r)))
+    return float(_ex(channel, r))
 
 
-def _ex_many(channel: CQChannel, r_values: np.ndarray) -> np.ndarray:
-    g = channel.overlap_gram
-    q = channel.q.probabilities
-    t = 1.0 / r_values
-    z = np.einsum("i,tij,j->t", q, g[None, :, :] ** t[:, None, None], q)
-    return -r_values * np.log2(z)
-
-
-def expurgated_exponent(channel: CQChannel, rate: float,
-                        r_max: float = R_MAX_DEFAULT) -> ExponentValue:
+def expurgated_exponent(channel: CQChannel, rate: float) -> ExponentValue:
     """E_ex(R, Q) = max over r >= 1 of Ex(r) - r R.
 
     Divergence is decided by a slope test: if the objective is still
-    climbing at r_max and the rate sits below the asymptotic slope
+    climbing at r = 1e4 and the rate sits below the asymptotic slope
     -log2 P[g > 0] (minus a 1e-9 margin), the supremum is infinite and the
-    value is flagged +inf.  If the objective climbs at r_max but the rate
+    value is flagged +inf.  If the objective climbs at r = 1e4 but the rate
     is at or above the slope, the supremum is the finite r -> infinity
-    limit; the truncated value at r_max is returned with converged False.
+    limit; the truncated value at r = 1e4 is returned with converged False.
     """
     if rate < 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
-    grid = np.logspace(0.0, math.log10(r_max), R_GRID_POINTS)
-    vals = _ex_many(channel, grid) - grid * rate
+    grid = np.logspace(0.0, math.log10(R_MAX), R_GRID_POINTS)
+    vals = _ex(channel, grid) - grid * rate
     k = int(np.argmax(vals))
     if k == grid.size - 1 and vals[-1] > vals[-2]:
         if rate < 2.0 * expurgated_divergence_rate(channel) - DIVERGENCE_MARGIN:
@@ -187,7 +178,7 @@ def expurgated_exponent(channel: CQChannel, rate: float,
     def objective(r: float) -> float:
         return ex_function(channel, r) - r * rate
 
-    r_best, v_best = maximize_on_grid(objective, grid, tol=PARAM_TOL, values=vals)
+    r_best, v_best = maximize_on_grid(objective, grid, values=vals)
     return ExponentValue(float(v_best), float(r_best), True)
 
 

@@ -28,10 +28,10 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Coerce to a complex square matrix, symmetrizing drift up to ``tol``.
+def require_hermitian(a) -> np.ndarray:
+    """Coerce to a complex square matrix, symmetrizing drift up to 1e-12.
 
-    Anti-Hermitian residue larger than ``tol`` is an input error, not noise,
+    Anti-Hermitian residue larger than 1e-12 is an input error, not noise,
     and is rejected.
     """
     m = np.asarray(a, dtype=complex)
@@ -39,7 +39,7 @@ def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     with np.errstate(invalid="ignore"):  # any non-finite entry leaves an inf or NaN drift
         drift = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if not drift <= tol:
+    if not drift <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian or not finite: max |a - a^dagger| = {drift:.3e}")
     return hermitianize(m)
 
@@ -174,11 +174,11 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return float(max(0.0, -np.sum(pos * np.log2(pos))))
 
 
-def kron(a, b, max_dim: int = DIM_CAP) -> np.ndarray:
-    """Kronecker product with a hard output-dimension cap (default 4096)."""
+def kron(a, b) -> np.ndarray:
+    """Kronecker product with a hard output-dimension cap of 4096."""
     am = a.matrix if isinstance(a, DensityOperator) else np.asarray(a, dtype=complex)
     bm = b.matrix if isinstance(b, DensityOperator) else np.asarray(b, dtype=complex)
     out = am.shape[0] * bm.shape[0]
-    if out > max_dim:
-        raise ValueError(f"Kronecker product dimension {out} exceeds the cap {max_dim}")
+    if out > DIM_CAP:
+        raise ValueError(f"Kronecker product dimension {out} exceeds the cap {DIM_CAP}")
     return np.kron(am, bm)

@@ -7,11 +7,12 @@ import math
 import numpy as np
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+PARAM_TOL = 1e-9  # refinement stops once the bracket is this narrow in the argument
+MAX_ITER = 200
 
 
-def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-9,
-                            max_iter: int = 200) -> tuple[float, float]:
-    """Maximize a unimodal f on [lo, hi] to within ``tol`` in the argument.
+def golden_section_maximize(f, lo: float, hi: float) -> tuple[float, float]:
+    """Maximize a unimodal f on [lo, hi] to within 1e-9 in the argument.
 
     Returns (x, f(x)) for the best point seen, interior probes and both
     endpoints included, so a maximum sitting exactly on the boundary is
@@ -27,8 +28,8 @@ def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-9,
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(MAX_ITER):
+        if b - a <= PARAM_TOL:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -44,7 +45,7 @@ def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-9,
     return best_x, best_f
 
 
-def maximize_on_grid(f, grid, tol: float = 1e-9, values=None) -> tuple[float, float]:
+def maximize_on_grid(f, grid, values=None) -> tuple[float, float]:
     """Scan f over ``grid``, then golden-section refine the bracketing cell.
 
     ``values`` lets callers pass precomputed f(grid) (must align with grid).
@@ -59,7 +60,7 @@ def maximize_on_grid(f, grid, tol: float = 1e-9, values=None) -> tuple[float, fl
     k = int(np.argmax(values))
     lo = grid[k - 1] if k > 0 else grid[0]
     hi = grid[k + 1] if k + 1 < grid.size else grid[-1]
-    x, fx = golden_section_maximize(f, lo, hi, tol=tol)
+    x, fx = golden_section_maximize(f, lo, hi)
     if values[k] >= fx:
         return float(grid[k]), float(values[k])
     return float(x), float(fx)

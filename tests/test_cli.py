@@ -212,6 +212,7 @@ def test_simulate_gamma_requires_exhaustive(tmp_path, capsys):
     ["--exhaustive", "--gamma", "0.5"],
     ["--exhaustive", "--gamma", "nan"],
     ["--exhaustive", "--r-list", "1,nan"],
+    ["--exhaustive", "--m", "1"],
 ])
 def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("cqexp.ensemble.pgm_povm",
@@ -225,6 +226,7 @@ def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
 @pytest.mark.parametrize("key, value", [
     ("m", "three"), ("n", [2]), ("trials", "many"), ("seed", math.inf),
     ("gamma", "big"), ("r_list", ["1", "two"]), ("r_list", 4),
+    ("exhaustive", "false"), ("exhaustive", 1),
 ])
 def test_simulate_non_numeric_config_value(tmp_path, capsys, key, value):
     doc = {"channel": PAULI_DOC, "m": 2, "n": 1, "trials": 5, key: value}
@@ -232,6 +234,14 @@ def test_simulate_non_numeric_config_value(tmp_path, capsys, key, value):
     assert cli.main(["simulate", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"'{key}'" in err
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, PAULI_DOC)
+    out = tmp_path / "missing" / "thresholds.json"
+    assert cli.main(["thresholds", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_simulate_missing_block_parameters(tmp_path, capsys):

@@ -112,6 +112,14 @@ def test_enumerate_codebooks_probabilities_sum_to_one():
     assert sum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_exhaustive_mode_needs_two_codewords():
+    ch = pauli_channel(0.9)
+    with pytest.raises(ValueError, match="need at least two codewords"):
+        next(enumerate_codebooks(ch, 1, 2))
+    with pytest.raises(ValueError, match="need at least two codewords"):
+        run_ensemble(ch, 1, 2, exhaustive=True)
+
+
 def test_enumerate_codebooks_cap():
     ch = pauli_channel(0.9)
     with pytest.raises(ValueError, match="cap"):
@@ -260,6 +268,31 @@ def test_run_ensemble_exhaustive_passes():
     }
     assert report.tilted_means[1.0] == pytest.approx(report.mean_pe, abs=1e-15)
     assert len(report.exponent_samples) == 16
+
+
+def test_decoding_builds_each_product_state_once(monkeypatch):
+    ch = pauli_channel(0.95)
+    words = []
+
+    def counting_product_state(channel, codeword):
+        words.append(tuple(codeword))
+        return product_state(channel, codeword)
+
+    monkeypatch.setattr("cqexp.ensemble.product_state", counting_product_state)
+    report = run_ensemble(ch, 2, 1, exhaustive=True, gamma=4.0)
+    assert len(words) == 2 * 4  # M states for each of the 2**2 codebooks
+    monkeypatch.undo()
+
+    def slow_decode(channel, m, n, **_):
+        pairs = list(enumerate_codebooks(channel, m, n))
+        pes = [error_probability(channel, book, pgm_povm(
+            [product_state(channel, w) for w in book.codewords])).average_error
+            for book, _ in pairs]
+        return np.array([weight for _, weight in pairs]), np.array(pes)
+
+    monkeypatch.setattr("cqexp.ensemble._decode_ensemble", slow_decode)
+    slow = run_ensemble(ch, 2, 1, exhaustive=True, gamma=4.0)
+    assert slow.to_json_dict() == report.to_json_dict()
 
 
 def test_run_ensemble_identical_states_exact():
