@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .qlinalg import DensityOperator, overlap, von_neumann_entropy
-from .search import golden_section_maximize, maximize_on_grid
+from .search import golden_section_maximize
 
 DIST_TOL = 1e-12
 ROW_TOL = 1e-12
@@ -215,23 +215,17 @@ def _with_distribution(channel: CQChannel, p: np.ndarray) -> CQChannel:
 def optimize_input(channel: CQChannel) -> tuple[InputDistribution, float]:
     """Maximize Holevo information over the input simplex (alphabets up to 8).
 
-    Binary inputs use a grid plus golden-section search on Q(0).  Larger
-    alphabets run pairwise-exchange coordinate ascent from the uniform
-    distribution: the result is never below the uniform-Q value.
+    Pairwise-exchange coordinate ascent from the uniform distribution, one
+    golden-section search per pair of symbols: Holevo information is concave
+    in Q, so each search is exact, and the result is never below the
+    uniform-Q value.
     """
     k = channel.alphabet_size
     if k > 8:
         raise ValueError(f"input optimization supports at most 8 symbols, got {k}")
-    if k == 1:
-        return channel.q, holevo_information(channel)
 
     def value(p: np.ndarray) -> float:
         return holevo_information(_with_distribution(channel, p))
-
-    if k == 2:
-        f = lambda t: value(np.array([t, 1.0 - t]))
-        t, ft = maximize_on_grid(f, np.linspace(0.0, 1.0, 33))
-        return InputDistribution(np.array([t, 1.0 - t])), ft
 
     p = np.full(k, 1.0 / k)
     best = value(p)

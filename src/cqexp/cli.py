@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -114,6 +115,15 @@ def _rates(args, run: dict) -> np.ndarray:
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"config 'grid' needs numeric min/max/count: {exc}") from exc
     raise CliError("no rate grid: pass --grid min:max:count or put grid/rates in the config")
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an unwritable --out before any work, without creating the file."""
+    if out is None:
+        return
+    target = out if os.path.exists(out) else os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out) or not os.access(target, os.W_OK):
+        raise CliError(f"cannot write {out}: not a writable file path")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -267,6 +277,7 @@ def main(argv=None) -> int:
         "validate": cmd_validate,
     }
     try:
+        _check_out(args.out)
         return handlers[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

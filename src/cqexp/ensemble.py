@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .channels import CQChannel
-from .exponents import _e0_many, ex_function
+from .exponents import e0, ex_function
 from .qlinalg import DensityOperator, DIM_CAP, hermitian_eig, kron
 
 ENUM_CAP = 2 ** 20
@@ -274,8 +274,7 @@ def _rc_mean_bound(channel: CQChannel, m: int, n: int) -> float:
     bound, so the grid minimum is one too.
     """
     s_grid = np.linspace(0.0, 1.0, RC_BOUND_GRID_POINTS)
-    vals = [2.0 * (m - 1) ** s * (2.0 ** (-e)) ** n
-            for s, e in zip(s_grid, _e0_many(channel, s_grid))]
+    vals = [2.0 * (m - 1) ** s * (2.0 ** (-e0(channel, s))) ** n for s in s_grid]
     return float(min(vals))
 
 
@@ -352,7 +351,7 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
         else:
             # delta method: d(x^r)/dx at the tilted mean scales the 3-sigma slack
             base = slack_for(tilted, mean_tilted)
-            slack = base * r * mean_tilted ** (r - 1.0) if r != 1.0 else base
+            slack = base * r * mean_tilted ** (r - 1.0)
         checks.append(_bound_check(f"tilted_mean_bound_r{r:g}", bound_pow, emp_pow, slack))
 
     samples = tuple(
@@ -383,8 +382,8 @@ def verify_markov_bound(channel: CQChannel, m: int, n: int, r: float,
     comparison carries zero statistical slack (1e-12 for roundoff only).
     run_ensemble(..., gamma=gamma) gives it for a list of r from one decoding.
     """
-    if not r > 0:
-        raise ValueError(f"tilt order must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"tilt order must be positive and finite, got {r}")
     _check_gamma(gamma)
     weights, pes = _decode_ensemble(channel, m, n)
     return _markov_check(weights, pes, r, gamma)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +43,7 @@ DIVERGENCE_MARGIN = 1e-9
 OVERLAP_POS_TOL = 1e-12
 
 _S_GRID = np.linspace(0.0, 1.0, S_GRID_POINTS)
+_R_GRID = np.logspace(0.0, math.log10(R_MAX), R_GRID_POINTS)
 
 
 @dataclass(frozen=True)
@@ -87,61 +89,25 @@ class ChannelThresholds:
     r_inf: float
 
 
-def _e0_many(channel: CQChannel, s_values) -> np.ndarray:
-    """Vectorized E0 over an array of tilt parameters (each > -1)."""
-    s = np.asarray(s_values, dtype=float).ravel()
-    if s.size and float(s.min()) <= -1.0:
-        raise ValueError(f"E0 tilt must exceed -1, got {float(s.min())}")
-    p = 1.0 / (1.0 + s)
-    d = channel.dim
-    acc = np.zeros((s.size, d, d), dtype=complex)
-    for qx, state in zip(channel.q.probabilities, channel.states):
-        if qx == 0.0:
-            continue
-        w = state.eigenvalues
-        v = state.eigenvectors
-        wp = w[None, :] ** p[:, None]  # 0**p == 0 since p > 0 for s > -1
-        acc += qx * np.einsum("ik,tk,jk->tij", v, wp, v.conj())
-    evs = _clamp_psd(np.linalg.eigvalsh(acc), "powered average state")
-    tr = np.sum(evs ** (1.0 + s)[:, None], axis=1)
-    return -np.log2(tr)
-
-
 def e0(channel: CQChannel, s: float) -> float:
     """Random-coding base function E0(s, Q) in bits.
 
-    Defined for any s > -1 (the maximization over [0, 1] is done by
+    Defined for any finite s > -1 (the maximization over [0, 1] is done by
     random_coding_exponent); E0(0) = 0 and the slope at 0 is the Holevo
     information.
     """
-    return float(_e0_many(channel, [s])[0])
-
-
-def random_coding_exponent(channel: CQChannel, rate: float) -> ExponentValue:
-    """E_r(R, Q) = max over s in [0, 1] of E0(s) - s R.
-
-    Returns exactly 0 with maximizer 0 when the optimum sits at s = 0,
-    which happens for every rate at or above the Holevo information.
-    """
-    if rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
-    grid_vals = _e0_many(channel, _S_GRID) - _S_GRID * rate
-
-    def objective(s: float) -> float:
-        return e0(channel, s) - s * rate
-
-    s_best, v_best = maximize_on_grid(objective, _S_GRID, values=grid_vals)
-    if v_best <= 0.0 or s_best <= 1e-12:
-        return ExponentValue(0.0, 0.0, True)
-    return ExponentValue(float(v_best), float(s_best), True)
-
-
-def _ex(channel: CQChannel, r):
-    """Ex at one order or an array of orders r > 0: -r log2 sum Q(x) Q(x') g(x,x')^(1/r)."""
-    g = channel.overlap_gram
-    q = channel.q.probabilities
-    t = np.divide(1.0, r)[..., None, None]
-    return -r * np.log2((q @ g ** t) @ q)  # 0**t == 0 for t > 0
+    if not -1.0 < s < math.inf:
+        raise ValueError(f"E0 tilt must exceed -1 and be finite, got {s}")
+    p = 1.0 / (1.0 + s)
+    acc = np.zeros((channel.dim, channel.dim), dtype=complex)
+    for qx, state in zip(channel.q.probabilities, channel.states):
+        if qx == 0.0:
+            continue
+        v = state.eigenvectors
+        # 0**p == 0 since p > 0; the matmul form (v * w**p) @ v^H rounds differently
+        acc += qx * np.einsum("ik,k,jk->ij", v, state.eigenvalues ** p, v.conj())
+    evs = _clamp_psd(np.linalg.eigvalsh(acc), "powered average state")
+    return float(-np.log2(np.sum(evs ** (1.0 + s))))
 
 
 def ex_function(channel: CQChannel, r: float) -> float:
@@ -150,9 +116,40 @@ def ex_function(channel: CQChannel, r: float) -> float:
     Finite for every finite r > 0: the diagonal overlap terms keep Z(1/r)
     at least sum_x Q(x)^2.  The expurgated maximization uses r >= 1.
     """
-    if not r > 0:
-        raise ValueError(f"Ex order must be positive, got {r}")
-    return float(_ex(channel, r))
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"Ex order must be positive and finite, got {r}")
+    q = channel.q.probabilities
+    return float(-r * np.log2((q @ channel.overlap_gram ** (1.0 / r)) @ q))  # 0**t == 0, t > 0
+
+
+# Each base function on its rate-independent maximization grid, computed by the
+# scalar evaluator once per channel, so a grid value equals the refinement's value
+# bit for bit.  CQChannel is frozen, hashes by identity and holds read-only arrays.
+@lru_cache(maxsize=32)
+def _grid_values(channel: CQChannel, expurgated: bool) -> np.ndarray:
+    f, grid = (ex_function, _R_GRID) if expurgated else (e0, _S_GRID)
+    vals = np.array([f(channel, x) for x in grid.tolist()])
+    vals.setflags(write=False)
+    return vals
+
+
+def random_coding_exponent(channel: CQChannel, rate: float) -> ExponentValue:
+    """E_r(R, Q) = max over s in [0, 1] of E0(s) - s R.
+
+    Returns exactly 0 with maximizer 0 when the optimum sits at s = 0,
+    which happens for every rate at or above the Holevo information.
+    """
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
+
+    def objective(s: float) -> float:
+        return e0(channel, s) - s * rate
+
+    s_best, v_best = maximize_on_grid(objective, _S_GRID,
+                                      _grid_values(channel, False) - _S_GRID * rate)
+    if v_best <= 0.0 or s_best <= 1e-12:
+        return ExponentValue(0.0, 0.0, True)
+    return ExponentValue(float(v_best), float(s_best), True)
 
 
 def expurgated_exponent(channel: CQChannel, rate: float) -> ExponentValue:
@@ -165,20 +162,19 @@ def expurgated_exponent(channel: CQChannel, rate: float) -> ExponentValue:
     is at or above the slope, the supremum is the finite r -> infinity
     limit; the truncated value at r = 1e4 is returned with converged False.
     """
-    if rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
-    grid = np.logspace(0.0, math.log10(R_MAX), R_GRID_POINTS)
-    vals = _ex(channel, grid) - grid * rate
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
+    vals = _grid_values(channel, True) - _R_GRID * rate
     k = int(np.argmax(vals))
-    if k == grid.size - 1 and vals[-1] > vals[-2]:
+    if k == _R_GRID.size - 1 and vals[-1] > vals[-2]:
         if rate < 2.0 * expurgated_divergence_rate(channel) - DIVERGENCE_MARGIN:
             return ExponentValue(math.inf, math.inf, True)
-        return ExponentValue(float(vals[-1]), float(grid[-1]), False)
+        return ExponentValue(float(vals[-1]), float(_R_GRID[-1]), False)
 
     def objective(r: float) -> float:
         return ex_function(channel, r) - r * rate
 
-    r_best, v_best = maximize_on_grid(objective, grid, values=vals)
+    r_best, v_best = maximize_on_grid(objective, _R_GRID, vals)
     return ExponentValue(float(v_best), float(r_best), True)
 
 
@@ -283,8 +279,8 @@ def optimal_tilt_estimate(channel: CQChannel, num_messages: int, block_length: i
         raise ValueError(f"need at least one message, got {num_messages}")
     if block_length < 1:
         raise ValueError(f"block length must be positive, got {block_length}")
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be at least 1, got {gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be at least 1 and finite, got {gamma}")
     halfvar = overlap_exponent_half_var(channel)
     if math.isinf(halfvar) or halfvar <= 0.0:
         return math.nan

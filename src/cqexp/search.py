@@ -45,18 +45,15 @@ def golden_section_maximize(f, lo: float, hi: float) -> tuple[float, float]:
     return best_x, best_f
 
 
-def maximize_on_grid(f, grid, values=None) -> tuple[float, float]:
-    """Scan f over ``grid``, then golden-section refine the bracketing cell.
+def maximize_on_grid(f, grid, values) -> tuple[float, float]:
+    """Golden-section refine f in the grid cells around the best of ``values``,
+    which the caller computed as f on ``grid``.
 
-    ``values`` lets callers pass precomputed f(grid) (must align with grid).
     Returns the better of the grid optimum and the refined point, so grid
     points, and in particular the interval endpoints, are exact candidates.
     """
     grid = np.asarray(grid, dtype=float)
-    if values is None:
-        values = np.array([f(x) for x in grid])
-    else:
-        values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
     k = int(np.argmax(values))
     lo = grid[k - 1] if k > 0 else grid[0]
     hi = grid[k + 1] if k + 1 < grid.size else grid[-1]

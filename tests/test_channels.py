@@ -209,6 +209,13 @@ def test_optimize_input_identical_states():
     assert value == pytest.approx(0.0, abs=1e-9)
 
 
+def test_optimize_input_single_symbol():
+    ch = CQChannel((DensityOperator.maximally_mixed(2),), [1.0])
+    q_opt, value = optimize_input(ch)
+    assert q_opt.probabilities.tolist() == [1.0]
+    assert value == 0.0
+
+
 def test_optimize_input_alphabet_cap():
     states = (DensityOperator.maximally_mixed(2),) * 9
     ch = CQChannel(states, InputDistribution.uniform(9))

@@ -213,6 +213,7 @@ def test_simulate_gamma_requires_exhaustive(tmp_path, capsys):
     ["--exhaustive", "--gamma", "nan"],
     ["--exhaustive", "--r-list", "1,nan"],
     ["--exhaustive", "--m", "1"],
+    ["--trials", "5", "--out", "/nonexistent/dir/r.json"],
 ])
 def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("cqexp.ensemble.pgm_povm",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import cqexp.exponents
 from cqexp import (
     CQChannel,
     DensityOperator,
@@ -26,6 +27,7 @@ from cqexp import (
     random_coding_exponent,
     sweep,
     trc_lower_bound,
+    verify_markov_bound,
 )
 from helpers import (
     classical_e0,
@@ -271,6 +273,65 @@ def test_sweep_structure_and_validation():
         sweep(ch, [0.1, math.nan])
     with pytest.raises(ValueError, match="empty"):
         sweep(ch, [])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda ch: e0(ch, math.inf), "exceed -1"),
+    (lambda ch: e0(ch, math.nan), "exceed -1"),
+    (lambda ch: ex_function(ch, math.inf), "positive"),
+    (lambda ch: ex_function(ch, math.nan), "positive"),
+    (lambda ch: random_coding_exponent(ch, math.nan), "nonnegative"),
+    (lambda ch: random_coding_exponent(ch, math.inf), "nonnegative"),
+    (lambda ch: expurgated_exponent(ch, math.nan), "nonnegative"),
+    (lambda ch: trc_lower_bound(ch, math.nan), "nonnegative"),
+    (lambda ch: optimal_tilt_estimate(ch, 4, 8, math.nan), "at least 1"),
+    (lambda ch: verify_markov_bound(ch, 2, 2, math.inf, 2.0), "positive"),
+], ids=["e0-inf", "e0-nan", "ex-inf", "ex-nan", "er-nan", "er-inf", "eex-nan", "trc-nan",
+        "tilt-gamma-nan", "markov-r-inf"])
+def test_single_point_functions_reject_non_finite(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(from_classical_dmc([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5]))
+
+
+def test_grid_values_equal_the_scalar_evaluators(monkeypatch):
+    # maximize_on_grid compares grid values with refinement values, so both
+    # must come from the same evaluator with the same rounding
+    ch = random_channel(np.random.default_rng(0), 8, 4)
+    seen = []
+    real = cqexp.exponents.maximize_on_grid
+
+    def recording(f, grid, values):
+        seen.append((f, np.array(grid), np.array(values)))
+        return real(f, grid, values)
+
+    monkeypatch.setattr(cqexp.exponents, "maximize_on_grid", recording)
+    for rate in (0.05, 0.2):
+        random_coding_exponent(ch, rate)
+        want = np.array([e0(ch, s) for s in seen[-1][1].tolist()]) - seen[-1][1] * rate
+        assert np.array_equal(seen[-1][2], want)
+        expurgated_exponent(ch, rate)
+        want = np.array([ex_function(ch, r) for r in seen[-1][1].tolist()]) - seen[-1][1] * rate
+        assert np.array_equal(seen[-1][2], want)
+    assert len(seen) == 4
+
+
+def test_sweep_evaluates_the_e0_grid_once_per_channel(monkeypatch):
+    calls = []
+    real = cqexp.exponents.e0
+
+    def counting(channel, s):
+        calls.append(s)
+        return real(channel, s)
+
+    monkeypatch.setattr(cqexp.exponents, "e0", counting)
+    ch = pauli_channel(0.9)
+    rates = np.linspace(0.0, 0.6, 50)
+    sweep(ch, rates)
+    first = len(calls)
+    assert first <= cqexp.exponents.S_GRID_POINTS + 50 * 60  # a per-rate grid makes ~12,850
+    calls.clear()
+    sweep(ch, rates)
+    assert len(calls) == first - cqexp.exponents.S_GRID_POINTS
 
 
 # --- thresholds and diagnostics ----------------------------------------------
