@@ -73,7 +73,8 @@ class CQChannel:
 
     Construction collects every structural failure (empty state list, mixed
     dimensions, alphabet/distribution length mismatch) into a single
-    ChannelValidationError.  ``q`` may be given as a raw probability sequence.
+    ChannelValidationError.  ``q`` may be given as a raw probability sequence,
+    or as None for the uniform distribution.
     """
 
     states: tuple[DensityOperator, ...]
@@ -93,13 +94,15 @@ class CQChannel:
             if len(dims) > 1:
                 problems.append(f"states have mixed dimensions {sorted(dims)}")
         q = self.q
+        if q is None and states:
+            q = InputDistribution.uniform(len(states))
         if not isinstance(q, InputDistribution):
             try:
                 q = InputDistribution(q)
-                object.__setattr__(self, "q", q)
             except ValueError as exc:
                 problems.append(str(exc))
                 q = None
+        object.__setattr__(self, "q", q)
         if q is not None and states and len(q) != len(states):
             problems.append(f"distribution has {len(q)} entries for {len(states)} states")
         if problems:
@@ -156,8 +159,6 @@ def binary_pauli(params: PauliChannelParams, q: InputDistribution | None = None)
     eye = np.eye(2, dtype=complex)
     first = DensityOperator((eye + hx + hz) / 2)
     second = DensityOperator((eye + hx - hz) / 2)
-    if q is None:
-        q = InputDistribution.uniform(2)
     return CQChannel((first, second), q)
 
 
@@ -178,8 +179,6 @@ def from_classical_dmc(w, q) -> CQChannel:
         idx = int(np.argmax(bad))
         raise ValueError(f"row {idx} of the transition matrix sums to {rows[idx]:.12g}, not 1")
     states = tuple(DensityOperator(np.diag(row).astype(complex)) for row in w)
-    if not isinstance(q, InputDistribution):
-        q = InputDistribution(q)
     return CQChannel(states, q)
 
 
@@ -259,7 +258,8 @@ def optimize_input(channel: CQChannel) -> tuple[InputDistribution, float]:
 # {"kind": "classical", "w": [[0.9, 0.1], [0.1, 0.9]],           "q": [0.5, 0.5]}
 # {"kind": "generic",   "states": [{"re": [[...]], "im": [[...]]}, ...], "q": [...]}
 #
-# "q" may be omitted for the uniform distribution.  theta defaults to pi/6.
+# For every kind "q" may be omitted or null for the uniform distribution.
+# theta defaults to pi/6.
 
 
 def channel_from_config(doc: dict) -> CQChannel:
@@ -271,14 +271,9 @@ def channel_from_config(doc: dict) -> CQChannel:
         params = PauliChannelParams(
             mu=float(doc["mu"]), theta=float(doc.get("theta", math.pi / 6))
         )
-        q = InputDistribution(doc["q"]) if "q" in doc else None
-        return binary_pauli(params, q)
+        return binary_pauli(params, doc.get("q"))
     if kind == "classical":
-        w = np.asarray(doc["w"], dtype=float)
-        q = doc.get("q")
-        if q is None:
-            q = np.full(w.shape[0], 1.0 / w.shape[0])
-        return from_classical_dmc(w, q)
+        return from_classical_dmc(doc["w"], doc.get("q"))
     if kind == "generic":
         raw = doc.get("states")
         if not raw:
@@ -294,10 +289,7 @@ def channel_from_config(doc: dict) -> CQChannel:
                 problems.append(f"state {i}: {exc}")
         if problems:
             raise ChannelValidationError(problems)
-        q = doc.get("q")
-        if q is None:
-            q = np.full(len(states), 1.0 / len(states))
-        return CQChannel(tuple(states), InputDistribution(q))
+        return CQChannel(tuple(states), doc.get("q"))
     raise ValueError(f"unknown channel kind {kind!r} (expected pauli, classical, or generic)")
 
 

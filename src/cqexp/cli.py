@@ -25,8 +25,8 @@ import sys
 
 import numpy as np
 
-from .channels import ChannelValidationError, channel_from_config
-from .ensemble import run_ensemble
+from .channels import channel_from_config
+from .ensemble import _json_real, run_ensemble
 from .exponents import (
     channel_thresholds,
     ex_function,
@@ -72,11 +72,20 @@ def _split_config(doc: dict) -> tuple[dict, dict]:
     raise CliError("config needs either a top-level 'kind' or a 'channel' object")
 
 
-def _build_channel(doc: dict):
+def _load_channel(args):
+    """Read --config; return (validated channel, run parameters)."""
+    channel_doc, run = _split_config(_load_json(args.config))
     try:
-        return channel_from_config(doc)
-    except (ChannelValidationError, ValueError, KeyError, TypeError) as exc:
+        return channel_from_config(channel_doc), run
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"invalid channel config: {exc}") from exc
+
+
+def _integer(value) -> int:
+    """int(value) for an integral number; booleans and fractions are refused."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def _grid_from_parts(lo: float, hi: float, count: int) -> np.ndarray:
@@ -104,15 +113,15 @@ def _rates(args, run: dict) -> np.ndarray:
     if args.grid is not None:
         return _parse_grid_flag(args.grid)
     if "rates" in run:
-        rates = np.asarray(run["rates"], dtype=float)
-        if rates.size < 1:
-            raise CliError("config 'rates' list is empty")
-        return rates
+        try:
+            return np.asarray(run["rates"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"config 'rates' must be a list of numbers: {exc}") from exc
     if "grid" in run:
         g = run["grid"]
         try:
-            return _grid_from_parts(float(g["min"]), float(g["max"]), int(g["count"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return _grid_from_parts(float(g["min"]), float(g["max"]), _integer(g["count"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"config 'grid' needs numeric min/max/count: {exc}") from exc
     raise CliError("no rate grid: pass --grid min:max:count or put grid/rates in the config")
 
@@ -146,8 +155,7 @@ def _json_text(doc: dict) -> str:
 
 
 def cmd_exponents(args) -> int:
-    channel_doc, run = _split_config(_load_json(args.config))
-    channel = _build_channel(channel_doc)
+    channel, run = _load_channel(args)
     rates = _rates(args, run)
     try:
         curve = sweep(channel, rates)
@@ -164,26 +172,21 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    channel_doc, _ = _split_config(_load_json(args.config))
-    channel = _build_channel(channel_doc)
+    channel, _ = _load_channel(args)
     th = channel_thresholds(channel)
-
-    def real(x: float):
-        return "inf" if math.isinf(x) else x
-
     doc = {
         "capacity_at_q": th.capacity_at_q,
-        "r_star": real(th.r_star),
-        "r_inf": real(th.r_inf),
-        "nu0": real(overlap_exponent_mean(channel)),
-        "nu1": real(overlap_exponent_half_var(channel)),
+        "r_star": _json_real(th.r_star),
+        "r_inf": _json_real(th.r_inf),
+        "nu0": _json_real(overlap_exponent_mean(channel)),
+        "nu1": _json_real(overlap_exponent_half_var(channel)),
         "e_x_at_1": ex_function(channel, 1.0),
     }
     _emit(_json_text(doc), args.out)
     return EXIT_OK
 
 
-def _param(run: dict, key: str, flag, convert=int, required: bool = False):
+def _param(run: dict, key: str, flag, convert=_integer, required: bool = False):
     """Flag value if given, else the config value, converted; None if neither."""
     value = flag if flag is not None else run.get(key)
     if value is None:
@@ -193,12 +196,12 @@ def _param(run: dict, key: str, flag, convert=int, required: bool = False):
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise CliError(f"'{key}' (--{key.replace('_', '-')}) must be numeric, got {value!r}") from exc
+        kind = "an integer" if convert is _integer else "numeric"
+        raise CliError(f"'{key}' (--{key.replace('_', '-')}) must be {kind}, got {value!r}") from exc
 
 
 def cmd_simulate(args) -> int:
-    channel_doc, run = _split_config(_load_json(args.config))
-    channel = _build_channel(channel_doc)
+    channel, run = _load_channel(args)
     m = _param(run, "m", args.m, required=True)
     n = _param(run, "n", args.n, required=True)
     seed = _param(run, "seed", args.seed) or 0
@@ -221,8 +224,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    channel_doc, _ = _split_config(_load_json(args.config))
-    channel = _build_channel(channel_doc)
+    channel, _ = _load_channel(args)
     lines = [f"OK: {channel.alphabet_size} states of dimension {channel.dim}"]
     q = ", ".join("%.6g" % x for x in channel.q.probabilities)
     lines.append(f"q = [{q}]")

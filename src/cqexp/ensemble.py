@@ -284,11 +284,6 @@ def _tilted_bound(channel: CQChannel, m: int, n: int, r: float) -> float:
     return float(m ** (1.0 - 1.0 / r) * (m - 1) * z ** n)
 
 
-def _bound_check(name: str, bound: float, empirical: float, slack: float) -> BoundCheck:
-    verdict = "PASS" if empirical <= bound + slack else "FAIL"
-    return BoundCheck(name=name, bound=bound, empirical=empirical, slack=slack, verdict=verdict)
-
-
 def _check_gamma(gamma: float) -> None:
     if not 1.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be at least 1 and finite (exhaustive check), got {gamma}")
@@ -327,37 +322,28 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
     weights, pes = _decode_ensemble(channel, m, n, exhaustive=exhaustive,
                                     trials=trials, seed=seed)
 
-    mean_pe = float(weights @ pes)
-    checks = []
-
-    def slack_for(samples: np.ndarray, mean: float) -> float:
-        if exhaustive:
-            return EXACT_SLACK
-        var = float(weights @ (samples - mean) ** 2) * trials / max(trials - 1, 1)
-        return MC_SIGMAS * math.sqrt(var / trials)
-
-    rc_bound = _rc_mean_bound(channel, m, n)
-    checks.append(_bound_check("mean_error_bound", rc_bound, mean_pe, slack_for(pes, mean_pe)))
-
-    tilted_means: dict[float, float] = {}
-    for r in r_list:
+    def check(name: str, bound: float, r: float) -> tuple[float, BoundCheck]:
+        """E[P_e^(1/r)] and the verdict on its r-th power; r = 1 is the mean check."""
         tilted = pes ** (1.0 / r)
-        mean_tilted = float(weights @ tilted)
-        tilted_means[r] = mean_tilted
-        bound_pow = _tilted_bound(channel, m, n, r) ** r
-        emp_pow = mean_tilted ** r
+        mean = float(weights @ tilted)
         if exhaustive:
             slack = EXACT_SLACK
         else:
+            var = float(weights @ (tilted - mean) ** 2) * trials / max(trials - 1, 1)
             # delta method: d(x^r)/dx at the tilted mean scales the 3-sigma slack
-            base = slack_for(tilted, mean_tilted)
-            slack = base * r * mean_tilted ** (r - 1.0)
-        checks.append(_bound_check(f"tilted_mean_bound_r{r:g}", bound_pow, emp_pow, slack))
+            slack = MC_SIGMAS * math.sqrt(var / trials) * r * mean ** (r - 1.0)
+        empirical = mean ** r
+        verdict = "PASS" if empirical <= bound + slack else "FAIL"
+        return mean, BoundCheck(name, bound, empirical, slack, verdict)
 
-    samples = tuple(
-        -math.log2(p) / n if p > 0.0 else math.inf
-        for p in pes
-    )
+    mean_pe, mean_check = check("mean_error_bound", _rc_mean_bound(channel, m, n), 1.0)
+    checks, tilted_means = [mean_check], {}
+    for r in r_list:
+        tilted_means[r], tilted_check = check(
+            f"tilted_mean_bound_r{r:g}", _tilted_bound(channel, m, n, r) ** r, r)
+        checks.append(tilted_check)
+
+    samples = tuple(-math.log2(p) / n if p > 0.0 else math.inf for p in pes)
     return EnsembleReport(
         decoder="pgm",
         m=m, n=n,

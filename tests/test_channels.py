@@ -239,6 +239,32 @@ def test_config_classical():
     assert np.allclose(ch.q.probabilities, 0.5)
 
 
+@pytest.mark.parametrize("kind", ["pauli", "classical", "generic"])
+@pytest.mark.parametrize("q", ["omitted", None])
+def test_config_default_distribution_is_uniform(kind, q):
+    docs = {
+        "pauli": {"kind": "pauli", "mu": 0.9},
+        "classical": {"kind": "classical", "w": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
+                                                  [0.1, 0.1, 0.8]]},
+        "generic": channel_to_config(pauli_channel(0.9)),
+    }
+    doc = dict(docs[kind])
+    doc.pop("q", None)
+    if q is None:
+        doc["q"] = None
+    ch = channel_from_config(doc)
+    k = ch.alphabet_size
+    assert np.array_equal(ch.q.probabilities, InputDistribution.uniform(k).probabilities)
+
+
+def test_config_bad_distribution_is_a_channel_error():
+    for doc in ({"kind": "pauli", "mu": 0.9, "q": [0.2, 0.9]},
+                {"kind": "classical", "w": [[1.0, 0.0], [0.0, 1.0]], "q": [0.2, 0.9]},
+                {**channel_to_config(pauli_channel(0.9)), "q": [0.2, 0.9]}):
+        with pytest.raises(ChannelValidationError, match="sums to 1.1"):
+            channel_from_config(doc)
+
+
 def test_config_generic_round_trip():
     original = pauli_channel(0.9)
     doc = channel_to_config(original)

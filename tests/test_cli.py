@@ -103,7 +103,8 @@ def test_exponents_grid_from_config(tmp_path):
     assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.0, 0.1, 0.2, 0.3])
 
 
-@pytest.mark.parametrize("grid", ["-0.1:0.5:10", "0:0.5:1", "0.5:0.1:10", "abc", "0:1"])
+@pytest.mark.parametrize("grid", ["-0.1:0.5:10", "0:0.5:1", "0.5:0.1:10", "abc", "0:1",
+                                  "a:b:c"])
 def test_exponents_bad_grid_flag(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, PAULI_DOC)
     # "=" form so values with a leading dash survive argparse
@@ -119,6 +120,24 @@ def test_exponents_non_finite_grid(tmp_path, capsys):
     for grid in ("0:inf:3", "nan:0.5:3", "0:nan:3"):
         assert cli.main(["exponents", "--config", cfg, f"--grid={grid}"]) == 1
         assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, needle", [
+    ({"rates": "abc"}, "'rates'"),
+    ({"rates": [0.1, [0.2, 0.3]]}, "'rates'"),
+    ({"rates": {"a": 0.1}}, "'rates'"),
+    ({"rates": []}, "empty"),
+    ({"rates": [0.3, 0.1]}, "sorted"),
+    ({"grid": {"min": "zero", "max": 0.5, "count": 3}}, "'grid'"),
+    ({"grid": {"min": 0.0, "max": 0.5}}, "'grid'"),
+    ({"grid": {"min": 0.0, "max": 0.5, "count": 2.7}}, "'grid'"),
+    ({"grid": {"min": 0.0, "max": 0.5, "count": math.inf}}, "'grid'"),
+])
+def test_exponents_malformed_config_grid(tmp_path, capsys, doc, needle):
+    cfg = write_config(tmp_path, {"channel": PAULI_DOC, **doc})
+    assert cli.main(["exponents", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
 def test_exponents_no_grid_anywhere(tmp_path, capsys):
@@ -228,6 +247,7 @@ def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
     ("m", "three"), ("n", [2]), ("trials", "many"), ("seed", math.inf),
     ("gamma", "big"), ("r_list", ["1", "two"]), ("r_list", 4),
     ("exhaustive", "false"), ("exhaustive", 1),
+    ("m", 2.7), ("n", True), ("trials", 2.9), ("seed", 1.5), ("seed", math.nan),
 ])
 def test_simulate_non_numeric_config_value(tmp_path, capsys, key, value):
     doc = {"channel": PAULI_DOC, "m": 2, "n": 1, "trials": 5, key: value}
@@ -319,6 +339,13 @@ def test_config_must_be_object(tmp_path, capsys):
     path.write_text("[1, 2]")
     assert cli.main(["validate", "--config", str(path)]) == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_channel_must_be_object(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"channel": [1, 2]})
+    assert cli.main(["validate", "--config", cfg]) == 1
+    assert "invalid channel config: channel config must be a JSON object" in \
+        capsys.readouterr().err
 
 
 def test_config_needs_kind_or_channel(tmp_path, capsys):

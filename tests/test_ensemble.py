@@ -79,6 +79,8 @@ def test_sample_codebook_validation():
     with pytest.raises(ValueError, match="cap"):
         sample_codebook(ch, 2, 13, seed=0)  # 2**13 > 4096
     sample_codebook(ch, 2, 12, seed=0)  # 2**12 == 4096 is allowed
+    with pytest.raises(ValueError, match="block length must be positive"):
+        sample_codebook(ch, 2, 0, seed=0)
 
 
 def test_sample_codebook_deterministic_input_distribution():
@@ -204,6 +206,8 @@ def test_error_probability_povm_count_mismatch():
     povm = pgm_povm(states)
     with pytest.raises(ValueError, match="POVM"):
         error_probability(ch, book, povm + [np.eye(2)])
+    with pytest.raises(ValueError, match="POVM element dimension"):
+        error_probability(ch, book, [np.eye(4), np.eye(4)])
 
 
 def test_error_probability_duplicate_codewords():
