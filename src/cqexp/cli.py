@@ -63,18 +63,16 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _split_config(doc: dict) -> tuple[dict, dict]:
-    """Return (channel document, run parameters)."""
-    if "kind" in doc:
-        return doc, {}
-    if "channel" in doc:
-        return doc["channel"], {k: v for k, v in doc.items() if k != "channel"}
-    raise CliError("config needs either a top-level 'kind' or a 'channel' object")
-
-
 def _load_channel(args):
-    """Read --config; return (validated channel, run parameters)."""
-    channel_doc, run = _split_config(_load_json(args.config))
+    """Read --config, a bare channel document or a run document with a 'channel'
+    object; return (validated channel, run parameters)."""
+    doc = _load_json(args.config)
+    if "kind" in doc:
+        channel_doc, run = doc, {}
+    elif "channel" in doc:
+        channel_doc, run = doc["channel"], {k: v for k, v in doc.items() if k != "channel"}
+    else:
+        raise CliError("config needs either a top-level 'kind' or a 'channel' object")
     try:
         return channel_from_config(channel_doc), run
     except (ValueError, KeyError, TypeError) as exc:
@@ -86,6 +84,13 @@ def _integer(value) -> int:
     if isinstance(value, bool) or int(value) != value:
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
+
+
+def _numbers(value) -> tuple[float, ...]:
+    """A JSON list of numbers as floats; booleans, strings and non-lists are refused."""
+    if not isinstance(value, list) or any(isinstance(t, (bool, str)) for t in value):
+        raise ValueError(f"not a list of numbers: {value!r}")
+    return tuple(float(t) for t in value)
 
 
 def _grid_from_parts(lo: float, hi: float, count: int) -> np.ndarray:
@@ -196,7 +201,7 @@ def _param(run: dict, key: str, flag, convert=_integer, required: bool = False):
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        kind = "an integer" if convert is _integer else "numeric"
+        kind = {_integer: "an integer", _numbers: "a list of numbers"}.get(convert, "numeric")
         raise CliError(f"'{key}' (--{key.replace('_', '-')}) must be {kind}, got {value!r}") from exc
 
 
@@ -209,9 +214,11 @@ def cmd_simulate(args) -> int:
     exhaustive = args.exhaustive or run.get("exhaustive", False)
     if not isinstance(exhaustive, bool):
         raise CliError(f"'exhaustive' must be true or false, got {exhaustive!r}")
-    r_flag = None if args.r_list is None else args.r_list.split(",")
-    r_list = _param(run, "r_list", r_flag, convert=lambda v: tuple(float(t) for t in v))
-    gamma = _param(run, "gamma", args.gamma, convert=float)
+    # --r-list is text, so its tokens are parsed; config values must be JSON numbers
+    r_flag = None if args.r_list is None else [
+        _param({}, "r_list", t, convert=float) for t in args.r_list.split(",")]
+    r_list = _param(run, "r_list", r_flag, convert=_numbers)
+    gamma = _param(run, "gamma", args.gamma, convert=lambda v: _numbers([v])[0])
 
     try:
         report = run_ensemble(channel, m, n, trials=trials, exhaustive=exhaustive,

@@ -15,6 +15,7 @@ from cqexp import (
     holevo_information,
     overlap_exponent_half_var,
     overlap_exponent_mean,
+    product_state,
     sweep,
 )
 from cqexp import cli
@@ -248,13 +249,40 @@ def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
     ("gamma", "big"), ("r_list", ["1", "two"]), ("r_list", 4),
     ("exhaustive", "false"), ("exhaustive", 1),
     ("m", 2.7), ("n", True), ("trials", 2.9), ("seed", 1.5), ("seed", math.nan),
+    ("gamma", "16"), ("gamma", True), ("r_list", "124"), ("r_list", [True]),
+    ("r_list", ""), ("r_list", {}),
 ])
 def test_simulate_non_numeric_config_value(tmp_path, capsys, key, value):
-    doc = {"channel": PAULI_DOC, "m": 2, "n": 1, "trials": 5, key: value}
+    # gamma is only accepted with exhaustive enumeration: refuse it for its type alone
+    doc = {"channel": PAULI_DOC, "m": 2, "n": 1, "trials": 5, "exhaustive": key == "gamma",
+           key: value}
     cfg = write_config(tmp_path, doc)
     assert cli.main(["simulate", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"'{key}'" in err
+
+
+def test_simulate_json_number_gamma_and_r_list(tmp_path):
+    doc = {"channel": PAULI_DOC, "m": 2, "n": 1, "exhaustive": True, "gamma": 16,
+           "r_list": [1, 2.5]}
+    out = tmp_path / "report.json"
+    assert cli.main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [c["r"] for c in report["markov_checks"]] == [1.0, 2.5]
+    assert {c["gamma"] for c in report["markov_checks"]} == {16.0}
+
+
+def test_simulate_products_of_states_within_trace_tolerance(tmp_path, capsys):
+    # each state's trace is within 1e-9 of 1, but a product's trace is not
+    doc = {"kind": "generic", "states": [{"re": [[0.9000000009, 0], [0, 0.1]]},
+                                         {"re": [[0.2, 0], [0, 0.8]]}]}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["validate", "--config", cfg]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--m", "2", "--n", "2", "--exhaustive"]) == 0
+    assert capsys.readouterr().err == ""
+    with pytest.raises(ValueError, match="trace"):
+        product_state(channel_from_config(doc), [0, 0])
 
 
 def test_unwritable_out_exits_1(tmp_path, capsys):

@@ -26,7 +26,8 @@ from cqexp import (
     sample_codebook,
     verify_markov_bound,
 )
-from helpers import char_poly_eigs_2x2, pauli_channel, random_density
+from cqexp.ensemble import _decode_ensemble
+from helpers import char_poly_eigs_2x2, pauli_channel, random_channel, random_density
 
 
 def orthogonal_channel():
@@ -275,16 +276,27 @@ def test_run_ensemble_exhaustive_passes():
 
 
 def test_decoding_builds_each_product_state_once(monkeypatch):
-    ch = pauli_channel(0.95)
-    words = []
+    ch, m, n = pauli_channel(0.95), 2, 2
+    words, decoded = [], []
 
     def counting_product_state(channel, codeword):
         words.append(tuple(codeword))
         return product_state(channel, codeword)
 
+    def recording_pgm_povm(states):
+        decoded.append(states)
+        return pgm_povm(states)
+
     monkeypatch.setattr("cqexp.ensemble.product_state", counting_product_state)
-    report = run_ensemble(ch, 2, 1, exhaustive=True, gamma=4.0)
-    assert len(words) == 2 * 4  # M states for each of the 2**2 codebooks
+    monkeypatch.setattr("cqexp.ensemble.pgm_povm", recording_pgm_povm)
+    report = run_ensemble(ch, m, n, exhaustive=True, gamma=4.0)
+    assert words == []  # products come from the channel's validated matrices
+    books = [book for book, _ in enumerate_codebooks(ch, m, n)]
+    assert len(decoded) == len(books)  # one square-root measurement per codebook
+    for book, states in zip(books, decoded):
+        assert len(states) == m
+        for w, state in zip(book.codewords, states):
+            assert np.array_equal(state, product_state(ch, w).matrix)
     monkeypatch.undo()
 
     def slow_decode(channel, m, n, **_):
@@ -295,8 +307,37 @@ def test_decoding_builds_each_product_state_once(monkeypatch):
         return np.array([weight for _, weight in pairs]), np.array(pes)
 
     monkeypatch.setattr("cqexp.ensemble._decode_ensemble", slow_decode)
-    slow = run_ensemble(ch, 2, 1, exhaustive=True, gamma=4.0)
+    slow = run_ensemble(ch, m, n, exhaustive=True, gamma=4.0)
     assert slow.to_json_dict() == report.to_json_dict()
+
+
+def pure_channel(seed=4, k=2, d=2):
+    rng = np.random.default_rng(seed)
+    return CQChannel(tuple(DensityOperator.from_pure(rng.normal(size=d) + 1j * rng.normal(size=d))
+                           for _ in range(k)), None)
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+@pytest.mark.parametrize("ch, m, n, deficient", [
+    (random_channel(np.random.default_rng(2), 3, 2), 2, 2, False),
+    # M < d**n pure products: every state sum is rank deficient (the SUPPORT_TOL branch)
+    (pure_channel(), 3, 2, True),
+])
+def test_decoder_equals_public_slow_path(ch, m, n, deficient, exhaustive):
+    trials, seed = 30, 5
+    weights, pes = _decode_ensemble(ch, m, n, exhaustive=exhaustive, trials=trials, seed=seed)
+    if exhaustive:
+        pairs = list(enumerate_codebooks(ch, m, n))
+    else:
+        sub_seeds = np.random.SeedSequence(seed).generate_state(trials)
+        pairs = [(sample_codebook(ch, m, n, int(s)), 1.0 / trials) for s in sub_seeds]
+    expected = [error_probability(ch, book, pgm_povm(
+        [product_state(ch, w) for w in book.codewords])).average_error for book, _ in pairs]
+    assert np.array_equal(weights, [weight for _, weight in pairs])
+    assert np.array_equal(pes, expected)
+    ranks = [np.linalg.matrix_rank(sum(product_state(ch, w).matrix for w in book.codewords))
+             for book, _ in pairs]
+    assert all(rank < ch.dim ** n for rank in ranks) is deficient
 
 
 def test_run_ensemble_identical_states_exact():
