@@ -119,13 +119,13 @@ def _rates(args, run: dict) -> np.ndarray:
         return _parse_grid_flag(args.grid)
     if "rates" in run:
         try:
-            return np.asarray(run["rates"], dtype=float)
-        except (TypeError, ValueError) as exc:
+            return np.asarray(_numbers(run["rates"]))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"config 'rates' must be a list of numbers: {exc}") from exc
     if "grid" in run:
         g = run["grid"]
         try:
-            return _grid_from_parts(float(g["min"]), float(g["max"]), _integer(g["count"]))
+            return _grid_from_parts(*_numbers([g["min"], g["max"]]), _integer(g["count"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"config 'grid' needs numeric min/max/count: {exc}") from exc
     raise CliError("no rate grid: pass --grid min:max:count or put grid/rates in the config")

@@ -9,7 +9,7 @@ each as a PASS/FAIL verdict with explicit slack: zero (1e-12) in exhaustive
 mode, three standard errors in Monte-Carlo mode.
 
 Caps: product-state dimension d**n <= 4096, exhaustive enumeration
-|X|**(M n) <= 2**20.
+|X|**(M n) <= 2**20, and at most 256 KiB of product states per decoded chunk.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import numpy as np
 
 from .channels import CQChannel
 from .exponents import e0, ex_function
-from .qlinalg import DensityOperator, DIM_CAP, hermitian_eig, kron
+from .qlinalg import DensityOperator, DIM_CAP, _eigh, _reject_drift, hermitian_eig, kron
 
 ENUM_CAP = 2 ** 20
+DECODE_CHUNK_BYTES = 2 ** 18  # product states held at once by the decoder (one codebook at least)
 SUPPORT_TOL = 1e-10  # eigenvalues of the state sum below this are not inverted
 EXACT_SLACK = 1e-12
 MC_SIGMAS = 3.0
@@ -46,7 +47,7 @@ class Codebook:
     provenance: tuple[str, int]
 
     def __post_init__(self):
-        words = np.asarray(self.codewords, dtype=np.int64)
+        words = np.array(self.codewords, dtype=np.int64)  # a copy: the caller's stays writable
         if words.shape != (self.m, self.n):
             raise ValueError(f"codewords shape {words.shape} does not match ({self.m}, {self.n})")
         words.setflags(write=False)
@@ -204,15 +205,6 @@ def pgm_povm(states) -> list[np.ndarray]:
     return [b @ m @ b for m in mats]
 
 
-def _message_errors(states, povm) -> np.ndarray:
-    """1 - Tr{Pi_m sigma_m} for each message's state array, clamped to [0, 1]."""
-    if any(elem.shape != state.shape for state, elem in zip(states, povm)):
-        raise ValueError("POVM element dimension does not match the product state")
-    hits = [complex(np.einsum("ij,ji->", elem, state)).real
-            for state, elem in zip(states, povm)]
-    return np.clip(1.0 - np.array(hits), 0.0, 1.0)
-
-
 def error_probability(channel: CQChannel, book: Codebook, povm) -> DecodingResult:
     """Per-message and average error of a POVM on the codebook's product states.
 
@@ -221,7 +213,12 @@ def error_probability(channel: CQChannel, book: Codebook, povm) -> DecodingResul
     """
     if len(povm) != book.m:
         raise ValueError(f"POVM has {len(povm)} elements for {book.m} codewords")
-    errs = _message_errors([product_state(channel, w).matrix for w in book.codewords], povm)
+    states = [product_state(channel, w).matrix for w in book.codewords]
+    if any(elem.shape != state.shape for state, elem in zip(states, povm)):
+        raise ValueError("POVM element dimension does not match the product state")
+    hits = [complex(np.einsum("ij,ji->", elem, state)).real
+            for state, elem in zip(states, povm)]
+    errs = np.clip(1.0 - np.array(hits), 0.0, 1.0)
     errs.setflags(write=False)
     return DecodingResult(per_message_error=errs, average_error=float(errs.mean()))
 
@@ -239,11 +236,29 @@ def helstrom_error(a: DensityOperator, b: DensityOperator) -> float:
     return float(min(max(0.5 * (1.0 - 0.5 * trace_norm), 0.0), 0.5))
 
 
+def _pgm_errors(states: np.ndarray) -> np.ndarray:
+    """Average square-root-measurement error of each codebook in a (B, M, D, D) stack.
+
+    pgm_povm batched: B = S^-1/2 on the support of S = sum_m sigma_m, and message m
+    is hit with Tr{(B sigma_m)^2} = Tr{Pi_m sigma_m}; errors are clamped to [0, 1].
+    """
+    total = reduce(np.add, states.swapaxes(0, 1))  # message order, as pgm_povm sums
+    _reject_drift(total)
+    w, v = _eigh(total)
+    inv_sqrt = np.where(w > SUPPORT_TOL, 1.0 / np.sqrt(np.where(w > SUPPORT_TOL, w, 1.0)), 0.0)
+    b = (v * inv_sqrt[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    c = b[:, None] @ states
+    hits = np.einsum("bmij,bmji->bm", c, c).real
+    return np.clip(1.0 - hits, 0.0, 1.0).mean(axis=1)
+
+
 def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = True,
                      trials: int | None = None, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Decode each enumerated (or drawn) codebook once, its product states built once
-    from the validated letters; return codebook probabilities and average errors."""
+    """Decode each enumerated (or drawn) codebook once, in chunks of at most
+    DECODE_CHUNK_BYTES of product states built from the validated letters (real
+    when every letter is); return codebook probabilities and average errors."""
     if exhaustive:
+        _check_book(channel, m, n)  # the lazy enumeration checks only once iterated
         pairs = enumerate_codebooks(channel, m, n)
     else:
         if trials is None or trials < 1:
@@ -251,13 +266,20 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
         sub_seeds = np.random.SeedSequence(seed).generate_state(trials)
         # drawn before decoding: interleaving the draws measured about 3% slower
         pairs = [(sample_codebook(channel, m, n, int(s)), 1.0 / trials) for s in sub_seeds]
-    letters = np.array([s.matrix for s in channel.states])  # (k, d, d); books passed _check_book
-    weights, pes = [], []
-    for book, weight in pairs:
-        states = [reduce(kron, letters[w]) for w in book.codewords]
-        pes.append(float(_message_errors(states, pgm_povm(states)).mean()))
-        weights.append(weight)
-    return np.array(weights), np.array(pes)
+    letters = np.array([s.matrix for s in channel.states])  # (k, d, d)
+    if not letters.imag.any():
+        letters = letters.real
+    chunk = max(1, DECODE_CHUNK_BYTES // (m * channel.dim ** (2 * n) * letters.itemsize))
+    pairs, weights, pes = iter(pairs), [], []
+    while batch := list(itertools.islice(pairs, chunk)):
+        words = np.array([book.codewords for book, _ in batch])  # (B, M, n)
+        states = letters[words[..., 0]]
+        for col in range(1, n):  # Kronecker chain, left to right as in product_state
+            outer = states[..., :, None, :, None] * letters[words[..., col]][..., None, :, None, :]
+            states = outer.reshape(*outer.shape[:2], outer.shape[2] * outer.shape[3], -1)
+        pes.append(_pgm_errors(states))
+        weights.extend(weight for _, weight in batch)
+    return np.array(weights), np.concatenate(pes)
 
 
 def _rc_mean_bound(channel: CQChannel, m: int, n: int) -> float:

@@ -28,6 +28,14 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def _reject_drift(m: np.ndarray) -> None:
+    """Refuse anti-Hermitian residue above 1e-12 in a matrix or a stack of them."""
+    with np.errstate(invalid="ignore"):  # any non-finite entry leaves an inf or NaN drift
+        drift = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
+    if not drift <= HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian or not finite: max |a - a^dagger| = {drift:.3e}")
+
+
 def require_hermitian(a) -> np.ndarray:
     """Coerce to a complex square matrix, symmetrizing drift up to 1e-12.
 
@@ -37,11 +45,18 @@ def require_hermitian(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    with np.errstate(invalid="ignore"):  # any non-finite entry leaves an inf or NaN drift
-        drift = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if not drift <= HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian or not finite: max |a - a^dagger| = {drift:.3e}")
+    _reject_drift(m)
     return hermitianize(m)
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh (ascending, stacks too), naming the matrix size if it fails."""
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        d = h.shape[-1]
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition did not converge for a {d}x{d} Hermitian matrix") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,14 +69,7 @@ class Spectrum:
 
 def hermitian_eig(m) -> Spectrum:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    h = require_hermitian(m)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        d = h.shape[0]
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition did not converge for a {d}x{d} Hermitian matrix"
-        ) from exc
+    w, v = _eigh(require_hermitian(m))
     # eigh sorts ascending; flip to descending
     w = np.ascontiguousarray(w[::-1])
     v = np.ascontiguousarray(v[:, ::-1])

@@ -133,6 +133,11 @@ def test_exponents_non_finite_grid(tmp_path, capsys):
     ({"grid": {"min": 0.0, "max": 0.5}}, "'grid'"),
     ({"grid": {"min": 0.0, "max": 0.5, "count": 2.7}}, "'grid'"),
     ({"grid": {"min": 0.0, "max": 0.5, "count": math.inf}}, "'grid'"),
+    ({"rates": [False, True]}, "'rates'"),
+    ({"rates": [0.1, "0.2"]}, "'rates'"),
+    ({"rates": [10 ** 400]}, "'rates'"),
+    ({"grid": {"min": False, "max": 0.5, "count": 3}}, "'grid'"),
+    ({"grid": {"min": 0.0, "max": True, "count": 3}}, "'grid'"),
 ])
 def test_exponents_malformed_config_grid(tmp_path, capsys, doc, needle):
     cfg = write_config(tmp_path, {"channel": PAULI_DOC, **doc})
@@ -236,7 +241,7 @@ def test_simulate_gamma_requires_exhaustive(tmp_path, capsys):
     ["--trials", "5", "--out", "/nonexistent/dir/r.json"],
 ])
 def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setattr("cqexp.ensemble.pgm_povm",
+    monkeypatch.setattr("cqexp.ensemble._pgm_errors",
                         lambda states: pytest.fail("a codebook was decoded before the refusal"))
     cfg = write_config(tmp_path, PAULI_DOC)
     assert cli.main(["simulate", "--config", cfg, "--m", "2", "--n", "2"] + argv) == 1

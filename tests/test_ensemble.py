@@ -26,7 +26,7 @@ from cqexp import (
     sample_codebook,
     verify_markov_bound,
 )
-from cqexp.ensemble import _decode_ensemble
+from cqexp.ensemble import _decode_ensemble, _pgm_errors
 from helpers import char_poly_eigs_2x2, pauli_channel, random_channel, random_density
 
 
@@ -61,6 +61,14 @@ def test_codebook_words_are_read_only():
                     provenance=("sampled", 0))
     with pytest.raises(ValueError):
         book.codewords[0, 0] = 1
+
+
+def test_codebook_leaves_the_callers_array_writable():
+    words = np.zeros((2, 2), dtype=np.int64)
+    book = Codebook(m=2, n=2, codewords=words, provenance=("sampled", 0))
+    assert words.flags.writeable
+    words[0, 0] = 1
+    assert book.codewords[0, 0] == 0
 
 
 def test_sample_codebook_deterministic():
@@ -275,6 +283,22 @@ def test_run_ensemble_exhaustive_passes():
     assert len(report.exponent_samples) == 16
 
 
+def assert_same_report(a, b):
+    """Equal structure, strings and flags; floats within 1e-12."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_same_report(a[key], b[key])
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_report(x, y)
+    elif isinstance(a, float):
+        assert isinstance(b, float) and b == pytest.approx(a, rel=0, abs=1e-12)
+    else:
+        assert a == b
+
+
 def test_decoding_builds_each_product_state_once(monkeypatch):
     ch, m, n = pauli_channel(0.95), 2, 2
     words, decoded = [], []
@@ -283,16 +307,16 @@ def test_decoding_builds_each_product_state_once(monkeypatch):
         words.append(tuple(codeword))
         return product_state(channel, codeword)
 
-    def recording_pgm_povm(states):
-        decoded.append(states)
-        return pgm_povm(states)
+    def recording_pgm_errors(states):
+        decoded.extend(states)
+        return _pgm_errors(states)
 
     monkeypatch.setattr("cqexp.ensemble.product_state", counting_product_state)
-    monkeypatch.setattr("cqexp.ensemble.pgm_povm", recording_pgm_povm)
+    monkeypatch.setattr("cqexp.ensemble._pgm_errors", recording_pgm_errors)
     report = run_ensemble(ch, m, n, exhaustive=True, gamma=4.0)
     assert words == []  # products come from the channel's validated matrices
     books = [book for book, _ in enumerate_codebooks(ch, m, n)]
-    assert len(decoded) == len(books)  # one square-root measurement per codebook
+    assert len(decoded) == len(books)  # one stack slice per codebook
     for book, states in zip(books, decoded):
         assert len(states) == m
         for w, state in zip(book.codewords, states):
@@ -308,7 +332,7 @@ def test_decoding_builds_each_product_state_once(monkeypatch):
 
     monkeypatch.setattr("cqexp.ensemble._decode_ensemble", slow_decode)
     slow = run_ensemble(ch, m, n, exhaustive=True, gamma=4.0)
-    assert slow.to_json_dict() == report.to_json_dict()
+    assert_same_report(slow.to_json_dict(), report.to_json_dict())
 
 
 def pure_channel(seed=4, k=2, d=2):
@@ -334,10 +358,21 @@ def test_decoder_equals_public_slow_path(ch, m, n, deficient, exhaustive):
     expected = [error_probability(ch, book, pgm_povm(
         [product_state(ch, w) for w in book.codewords])).average_error for book, _ in pairs]
     assert np.array_equal(weights, [weight for _, weight in pairs])
-    assert np.array_equal(pes, expected)
+    np.testing.assert_allclose(pes, expected, rtol=0, atol=1e-12)
     ranks = [np.linalg.matrix_rank(sum(product_state(ch, w).matrix for w in book.codewords))
              for book, _ in pairs]
     assert all(rank < ch.dim ** n for rank in ranks) is deficient
+
+
+@pytest.mark.parametrize("ch", [pauli_channel(0.95), random_channel(np.random.default_rng(1), 3, 2)])
+@pytest.mark.parametrize("chunk_bytes", [1, 2 ** 30])
+def test_decoding_is_chunking_invariant(monkeypatch, ch, chunk_bytes):
+    # 37 draws of 16x16 products leave a partial last chunk at the default size
+    default = _decode_ensemble(ch, 4, 4, exhaustive=False, trials=37, seed=8)
+    monkeypatch.setattr("cqexp.ensemble.DECODE_CHUNK_BYTES", chunk_bytes)
+    weights, pes = _decode_ensemble(ch, 4, 4, exhaustive=False, trials=37, seed=8)
+    assert np.array_equal(weights, default[0])
+    assert np.array_equal(pes, default[1])
 
 
 def test_run_ensemble_identical_states_exact():
