@@ -236,13 +236,13 @@ def optimize_input(channel: CQChannel) -> tuple[InputDistribution, float]:
                 if span <= 0.0:
                     continue
 
-                def move(t, i=i, j=j, span=span):
+                def move(t, i=i, j=j, span=span):  # one lane, so t is never NaN
                     trial = p.copy()
-                    trial[i] = t
-                    trial[j] = span - t
-                    return value(trial)
+                    trial[i] = t[0]
+                    trial[j] = span - t[0]
+                    return np.array([value(trial)])
 
-                t, ft = golden_section_maximize(move, 0.0, span)
+                (t,), (ft,) = golden_section_maximize(move, 0.0, span)
                 if ft > best:
                     gained += ft - best
                     best = ft

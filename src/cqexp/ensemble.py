@@ -289,7 +289,9 @@ def _rc_mean_bound(channel: CQChannel, m: int, n: int) -> float:
     bound, so the grid minimum is one too.
     """
     s_grid = np.linspace(0.0, 1.0, RC_BOUND_GRID_POINTS)
-    vals = [2.0 * (m - 1) ** s * (2.0 ** (-e0(channel, s))) ** n for s in s_grid]
+    # one batched E0; the powers stay scalar, as numpy's array pow rounds differently
+    vals = [2.0 * (m - 1) ** s * (2.0 ** (-e)) ** n
+            for s, e in zip(s_grid, e0(channel, s_grid).tolist())]
     return float(min(vals))
 
 

@@ -34,13 +34,14 @@ import numpy as np
 
 from .channels import CQChannel, holevo_information
 from .qlinalg import _clamp_psd
-from .search import maximize_on_grid
+from .search import _lanewise, maximize_on_grid
 
 S_GRID_POINTS = 257
 R_GRID_POINTS = 257
 R_MAX = 1e4  # the expurgated maximization searches r in [1, R_MAX]
 DIVERGENCE_MARGIN = 1e-9
 OVERLAP_POS_TOL = 1e-12
+_SWEEP_LANES = 256  # rates refined together: bounds the (lanes, grid) values and E0 stack
 
 _S_GRID = np.linspace(0.0, 1.0, S_GRID_POINTS)
 _R_GRID = np.logspace(0.0, math.log10(R_MAX), R_GRID_POINTS)
@@ -89,25 +90,32 @@ class ChannelThresholds:
     r_inf: float
 
 
-def e0(channel: CQChannel, s: float) -> float:
-    """Random-coding base function E0(s, Q) in bits.
+def e0(channel: CQChannel, s):
+    """Random-coding base function E0(s, Q) in bits, at one tilt or an array of them.
 
     Defined for any finite s > -1 (the maximization over [0, 1] is done by
     random_coding_exponent); E0(0) = 0 and the slope at 0 is the Holevo
-    information.
+    information.  A float tilt gives a float, an array an array of its shape.
     """
-    if not -1.0 < s < math.inf:
-        raise ValueError(f"E0 tilt must exceed -1 and be finite, got {s}")
-    p = 1.0 / (1.0 + s)
-    acc = np.zeros((channel.dim, channel.dim), dtype=complex)
+    t = np.asarray(s, dtype=float)
+    bad = ~((-1.0 < t) & (t < math.inf))
+    if bad.any():
+        got = s if t.ndim == 0 else t[bad][0]
+        raise ValueError(f"E0 tilt must exceed -1 and be finite, got {got}")
+    # one exponent per eigenvalue, never broadcast: numpy swaps pow for sqrt or a square
+    # on a broadcast 0.5 or 2, for some batch shapes only, so values would follow the batch
+    u = np.repeat(t.reshape(-1, 1), channel.dim, axis=1)
+    p = 1.0 / (1.0 + u)
+    acc = np.zeros((u.shape[0], channel.dim, channel.dim), dtype=complex)
     for qx, state in zip(channel.q.probabilities, channel.states):
         if qx == 0.0:
             continue
         v = state.eigenvectors
         # 0**p == 0 since p > 0; the matmul form (v * w**p) @ v^H rounds differently
-        acc += qx * np.einsum("ik,k,jk->ij", v, state.eigenvalues ** p, v.conj())
+        acc += qx * np.einsum("ik,bk,jk->bij", v, state.eigenvalues ** p, v.conj())
     evs = _clamp_psd(np.linalg.eigvalsh(acc), "powered average state")
-    return float(-np.log2(np.sum(evs ** (1.0 + s))))
+    out = -np.log2(np.sum(evs ** (1.0 + u), axis=-1))
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def ex_function(channel: CQChannel, r: float) -> float:
@@ -122,15 +130,35 @@ def ex_function(channel: CQChannel, r: float) -> float:
     return float(-r * np.log2((q @ channel.overlap_gram ** (1.0 / r)) @ q))  # 0**t == 0, t > 0
 
 
-# Each base function on its rate-independent maximization grid, computed by the
-# scalar evaluator once per channel, so a grid value equals the refinement's value
-# bit for bit.  CQChannel is frozen, hashes by identity and holds read-only arrays.
+# Each base function on its rate-independent maximization grid, computed once per channel
+# by the evaluator the refinement uses, so a grid value equals the refinement's value bit
+# for bit.  CQChannel is frozen, hashes by identity and holds read-only arrays.
 @lru_cache(maxsize=32)
 def _grid_values(channel: CQChannel, expurgated: bool) -> np.ndarray:
-    f, grid = (ex_function, _R_GRID) if expurgated else (e0, _S_GRID)
-    vals = np.array([f(channel, x) for x in grid.tolist()])
+    vals = (np.array([ex_function(channel, r) for r in _R_GRID.tolist()]) if expurgated
+            else e0(channel, _S_GRID))
     vals.setflags(write=False)
     return vals
+
+
+def _rates(rates) -> np.ndarray:
+    """The rates as a 1-d float array (one lane each), refused unless finite and >= 0."""
+    r = np.array(rates, dtype=float, ndmin=1)
+    bad = ~((0.0 <= r) & (r < math.inf))
+    if bad.any():
+        got = rates if np.ndim(rates) == 0 else r[bad][0]
+        raise ValueError(f"rate must be finite and nonnegative, got {got}")
+    return r
+
+
+def _random_coding_lanes(channel: CQChannel, rates) -> tuple[np.ndarray, np.ndarray]:
+    """E_r and its maximizing s at every rate, refined in lockstep (see random_coding_exponent)."""
+    r = _rates(rates)
+    objective = _lanewise(lambda s, rate: e0(channel, s) - s * rate, r)
+    s_best, v_best = maximize_on_grid(objective, _S_GRID,
+                                      _grid_values(channel, False) - _S_GRID * r[:, None])
+    zero = (v_best <= 0.0) | (s_best <= 1e-12)
+    return np.where(zero, 0.0, v_best), np.where(zero, 0.0, s_best)
 
 
 def random_coding_exponent(channel: CQChannel, rate: float) -> ExponentValue:
@@ -139,17 +167,24 @@ def random_coding_exponent(channel: CQChannel, rate: float) -> ExponentValue:
     Returns exactly 0 with maximizer 0 when the optimum sits at s = 0,
     which happens for every rate at or above the Holevo information.
     """
-    if not 0.0 <= rate < math.inf:
-        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
+    value, s_best = _random_coding_lanes(channel, rate)
+    return ExponentValue(float(value[0]), float(s_best[0]), True)
 
-    def objective(s: float) -> float:
-        return e0(channel, s) - s * rate
 
-    s_best, v_best = maximize_on_grid(objective, _S_GRID,
-                                      _grid_values(channel, False) - _S_GRID * rate)
-    if v_best <= 0.0 or s_best <= 1e-12:
-        return ExponentValue(0.0, 0.0, True)
-    return ExponentValue(float(v_best), float(s_best), True)
+def _expurgated_lanes(channel: CQChannel, rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E_ex, its maximizer and convergence flag at every rate (see expurgated_exponent)."""
+    r = _rates(rates)
+    vals = _grid_values(channel, True) - _R_GRID * r[:, None]
+    climbing = (np.argmax(vals, axis=1) == _R_GRID.size - 1) & (vals[:, -1] > vals[:, -2])
+    divergent = climbing & (r < 2.0 * expurgated_divergence_rate(channel) - DIVERGENCE_MARGIN)
+    value = np.where(divergent, math.inf, vals[:, -1])
+    r_best = np.where(divergent, math.inf, _R_GRID[-1])
+    if not climbing.all():
+        def objective(x, rate):  # one scalar Ex per probe: a batched matmul rounds differently
+            return np.array([ex_function(channel, t) for t in x.tolist()]) - x * rate
+        refine = _lanewise(objective, r[~climbing])
+        r_best[~climbing], value[~climbing] = maximize_on_grid(refine, _R_GRID, vals[~climbing])
+    return value, r_best, divergent | ~climbing
 
 
 def expurgated_exponent(channel: CQChannel, rate: float) -> ExponentValue:
@@ -162,40 +197,26 @@ def expurgated_exponent(channel: CQChannel, rate: float) -> ExponentValue:
     is at or above the slope, the supremum is the finite r -> infinity
     limit; the truncated value at r = 1e4 is returned with converged False.
     """
-    if not 0.0 <= rate < math.inf:
-        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
-    vals = _grid_values(channel, True) - _R_GRID * rate
-    k = int(np.argmax(vals))
-    if k == _R_GRID.size - 1 and vals[-1] > vals[-2]:
-        if rate < 2.0 * expurgated_divergence_rate(channel) - DIVERGENCE_MARGIN:
-            return ExponentValue(math.inf, math.inf, True)
-        return ExponentValue(float(vals[-1]), float(_R_GRID[-1]), False)
+    value, r_best, converged = _expurgated_lanes(channel, rate)
+    return ExponentValue(float(value[0]), float(r_best[0]), bool(converged[0]))
 
-    def objective(r: float) -> float:
-        return ex_function(channel, r) - r * rate
 
-    r_best, v_best = maximize_on_grid(objective, _R_GRID, vals)
-    return ExponentValue(float(v_best), float(r_best), True)
+def _points(channel: CQChannel, rates: np.ndarray) -> ExponentCurve:
+    e_r, s_opt = _random_coding_lanes(channel, rates)
+    e_ex, r_opt, _ = _expurgated_lanes(channel, 2.0 * rates)
+    rows = np.column_stack([rates, e_r, e_ex + rates, s_opt, r_opt]).tolist()  # +inf propagates
+    return [RatePoint(rate=rate, e_r=rc, e_ex_shifted=sh, e_trc_lb=max(rc, sh), s_opt=s,
+                      r_opt=r, divergent=math.isinf(sh))
+            for rate, rc, sh, s, r in rows]
 
 
 def trc_lower_bound(channel: CQChannel, rate: float) -> RatePoint:
     """Typical-ensemble exponent lower bound max(E_r(R), E_ex(2R) + R) at one rate."""
-    rc = random_coding_exponent(channel, rate)
-    ex = expurgated_exponent(channel, 2.0 * rate)
-    shifted = ex.value + rate  # +inf propagates
-    return RatePoint(
-        rate=float(rate),
-        e_r=rc.value,
-        e_ex_shifted=shifted,
-        e_trc_lb=max(rc.value, shifted),
-        s_opt=rc.maximizer,
-        r_opt=ex.maximizer,
-        divergent=math.isinf(shifted),
-    )
+    return _points(channel, _rates(rate))[0]
 
 
 def sweep(channel: CQChannel, rates) -> ExponentCurve:
-    """Evaluate trc_lower_bound over an ascending nonnegative rate grid."""
+    """Evaluate trc_lower_bound over an ascending nonnegative rate grid, rates in lockstep."""
     r = np.asarray(rates, dtype=float).ravel()
     if r.size == 0:
         raise ValueError("rate grid is empty")
@@ -203,7 +224,8 @@ def sweep(channel: CQChannel, rates) -> ExponentCurve:
         raise ValueError("rates must be finite and nonnegative")
     if np.any(np.diff(r) < 0):
         raise ValueError("rates must be sorted ascending")
-    return [trc_lower_bound(channel, float(x)) for x in r]
+    passes = np.array_split(r, -(-r.size // _SWEEP_LANES))
+    return [p for lanes in passes for p in _points(channel, lanes)]
 
 
 def _pair_weights(channel: CQChannel) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,10 @@
-"""One-dimensional maximization: coarse grid scan plus golden-section refinement."""
+"""One-dimensional maximization: coarse grid scan plus golden-section refinement.
+
+Both searches refine independent lanes (one per entry of lo/hi or row of grid
+values) in lockstep, each with the scalar search's arithmetic.  The objective
+maps one probe per lane to its value in one call; a NaN probe marks a frozen
+lane, whose value is ignored (``_lanewise`` builds such objectives).
+"""
 
 from __future__ import annotations
 
@@ -11,53 +17,62 @@ PARAM_TOL = 1e-9  # refinement stops once the bracket is this narrow in the argu
 MAX_ITER = 200
 
 
-def golden_section_maximize(f, lo: float, hi: float) -> tuple[float, float]:
-    """Maximize a unimodal f on [lo, hi] to within 1e-9 in the argument.
+def _lanewise(g, *params):
+    """Lane objective from g(x, *params) on the probes and parameters of the live lanes."""
+    def f(x):
+        live = ~np.isnan(x)
+        out = np.full(x.shape, np.nan)
+        out[live] = g(x[live], *(p[live] for p in params))
+        return out
+    return f
 
-    Returns (x, f(x)) for the best point seen, interior probes and both
-    endpoints included, so a maximum sitting exactly on the boundary is
-    never lost to interval shrinkage.
+
+def golden_section_maximize(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize a unimodal f on each lane's [lo, hi] to within 1e-9 in the argument.
+
+    Returns (x, f(x)) per lane for the best point seen, interior probes and
+    both endpoints included, so a maximum sitting exactly on the boundary is
+    never lost to interval shrinkage.  A lane freezes once its bracket is
+    narrow enough; each iteration makes one call on the others' new probes.
     """
-    a, b = float(lo), float(hi)
-    if b < a:
+    a, b = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    if np.any(b < a):
         raise ValueError(f"empty search interval [{lo}, {hi}]")
-    best_x, best_f = a, f(a)
-    fb_end = f(b)
-    if fb_end > best_f:
-        best_x, best_f = b, fb_end
+    best_x, best_f = a.copy(), f(a)
+    ends = b.copy(), f(b)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(MAX_ITER):
-        if b - a <= PARAM_TOL:
+        live = b - a > PARAM_TOL
+        if not live.any():
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    for x, fx in ((c, fc), (d, fd)):
-        if fx > best_f:
-            best_x, best_f = x, fx
+        left = live & (fc >= fd)
+        right = live & ~left
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = b[left] - GOLDEN * (b[left] - a[left])
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = a[right] + GOLDEN * (b[right] - a[right])
+        fx = f(np.where(left, c, np.where(right, d, np.nan)))
+        fc[left], fd[right] = fx[left], fx[right]
+    for x, fx in (ends, (c, fc), (d, fd)):
+        up = fx > best_f
+        best_x[up], best_f[up] = x[up], fx[up]
     return best_x, best_f
 
 
-def maximize_on_grid(f, grid, values) -> tuple[float, float]:
-    """Golden-section refine f in the grid cells around the best of ``values``,
-    which the caller computed as f on ``grid``.
+def maximize_on_grid(f, grid, values) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section refine f in the grid cells around each lane's best of
+    ``values`` (lanes x grid), which the caller computed as f on ``grid``.
 
-    Returns the better of the grid optimum and the refined point, so grid
-    points, and in particular the interval endpoints, are exact candidates.
+    Returns the better of the grid optimum and the refined point per lane, so
+    grid points, and in particular the interval endpoints, are exact candidates.
     """
     grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    k = int(np.argmax(values))
-    lo = grid[k - 1] if k > 0 else grid[0]
-    hi = grid[k + 1] if k + 1 < grid.size else grid[-1]
-    x, fx = golden_section_maximize(f, lo, hi)
-    if values[k] >= fx:
-        return float(grid[k]), float(values[k])
-    return float(x), float(fx)
+    values = np.array(values, dtype=float, ndmin=2)
+    k = np.argmax(values, axis=1)
+    x, fx = golden_section_maximize(f, grid[np.maximum(k - 1, 0)],
+                                    grid[np.minimum(k + 1, grid.size - 1)])
+    on_grid = values[np.arange(k.size), k]
+    keep = on_grid >= fx
+    return np.where(keep, grid[k], x), np.where(keep, on_grid, fx)

@@ -3,17 +3,31 @@
 Everything here is deliberately computed along a different route than the
 package: 2x2 eigenvalues from the characteristic polynomial, qubit overlaps
 from Bloch-vector closed forms, exponent functions from their classical
-scalar formulas on diagonal embeddings.  Agreement between the two routes is
-what the tests assert.
+scalar formulas on diagonal embeddings, the exponent searches one rate and
+one scalar probe at a time.  Agreement between the two routes is what the
+tests assert.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from cqexp import CQChannel, DensityOperator, InputDistribution, PauliChannelParams, binary_pauli
+from cqexp import (
+    CQChannel,
+    DensityOperator,
+    InputDistribution,
+    PauliChannelParams,
+    RatePoint,
+    binary_pauli,
+    e0,
+    ex_function,
+    expurgated_divergence_rate,
+)
+from cqexp.exponents import _R_GRID, _S_GRID, DIVERGENCE_MARGIN
+from cqexp.search import GOLDEN, MAX_ITER, PARAM_TOL
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -123,3 +137,89 @@ def random_channel(rng: np.random.Generator, k: int, d: int) -> CQChannel:
     states = tuple(random_density(rng, d) for _ in range(k))
     q = InputDistribution(rng.dirichlet(np.ones(k) * 2.0))
     return CQChannel(states, q)
+
+
+# --- scalar search (oracle for the lane-wise search) -------------------------
+
+
+def golden_section_maximize(f, lo: float, hi: float) -> tuple[float, float]:
+    """Maximize a unimodal f on [lo, hi] to within 1e-9 in the argument.
+
+    Returns (x, f(x)) for the best point seen, interior probes and both
+    endpoints included, so a maximum sitting exactly on the boundary is
+    never lost to interval shrinkage.
+    """
+    a, b = float(lo), float(hi)
+    if b < a:
+        raise ValueError(f"empty search interval [{lo}, {hi}]")
+    best_x, best_f = a, f(a)
+    fb_end = f(b)
+    if fb_end > best_f:
+        best_x, best_f = b, fb_end
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(MAX_ITER):
+        if b - a <= PARAM_TOL:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
+    for x, fx in ((c, fc), (d, fd)):
+        if fx > best_f:
+            best_x, best_f = x, fx
+    return best_x, best_f
+
+
+def scalar_maximize_on_grid(f, grid, values) -> tuple[float, float]:
+    """One rate's grid scan plus scalar golden-section refinement."""
+    k = int(np.argmax(values))
+    lo = grid[k - 1] if k > 0 else grid[0]
+    hi = grid[k + 1] if k + 1 < grid.size else grid[-1]
+    x, fx = golden_section_maximize(f, lo, hi)
+    if values[k] >= fx:
+        return float(grid[k]), float(values[k])
+    return float(x), float(fx)
+
+
+@lru_cache(maxsize=8)
+def scalar_grids(channel: CQChannel) -> tuple[np.ndarray, np.ndarray]:
+    """E0 and Ex on the package's search grids, one scalar call per point."""
+    return (np.array([e0(channel, s) for s in _S_GRID.tolist()]),
+            np.array([ex_function(channel, r) for r in _R_GRID.tolist()]))
+
+
+def scalar_random_coding(channel: CQChannel, rate: float) -> tuple[float, float]:
+    """(E_r, s_opt) at one rate, one scalar E0 call per probe."""
+    e0_grid, _ = scalar_grids(channel)
+    s_opt, e_r = scalar_maximize_on_grid(lambda s: e0(channel, s) - s * rate, _S_GRID,
+                                         e0_grid - _S_GRID * rate)
+    return (0.0, 0.0) if e_r <= 0.0 or s_opt <= 1e-12 else (e_r, s_opt)
+
+
+def scalar_expurgated(channel: CQChannel, rate: float) -> tuple[float, float, bool]:
+    """(E_ex, r_opt, converged) at one rate, one scalar Ex call per probe."""
+    _, ex_grid = scalar_grids(channel)
+    vals = ex_grid - _R_GRID * rate
+    if int(np.argmax(vals)) == _R_GRID.size - 1 and vals[-1] > vals[-2]:
+        if rate < 2.0 * expurgated_divergence_rate(channel) - DIVERGENCE_MARGIN:
+            return math.inf, math.inf, True
+        return float(vals[-1]), float(_R_GRID[-1]), False
+    r_opt, e_ex = scalar_maximize_on_grid(lambda r: ex_function(channel, r) - r * rate,
+                                          _R_GRID, vals)
+    return e_ex, r_opt, True
+
+
+def scalar_rate_point(channel: CQChannel, rate: float) -> RatePoint:
+    """max(E_r(R), E_ex(2R) + R) at one rate from the two scalar searches."""
+    e_r, s_opt = scalar_random_coding(channel, rate)
+    e_ex, r_opt, _ = scalar_expurgated(channel, 2.0 * rate)
+    shifted = e_ex + rate
+    return RatePoint(rate=float(rate), e_r=e_r, e_ex_shifted=shifted,
+                     e_trc_lb=max(e_r, shifted), s_opt=s_opt, r_opt=r_opt,
+                     divergent=math.isinf(shifted))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ HEADER = "R,E_r,E_ex_2R_plus_R,E_trc_lb,s_opt,r_opt,divergent_flag"
 
 PAULI_DOC = {"kind": "pauli", "mu": 0.95, "theta": 0.5235987755982988, "q": [0.5, 0.5]}
 ORTHO_DOC = {"kind": "pauli", "mu": 1.0, "theta": 0.0}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -153,6 +155,17 @@ def test_exponents_no_grid_anywhere(tmp_path, capsys):
 
 
 # --- thresholds --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("stem", ["pauli_mu070", "pauli_mu090", "pauli_mu095", "bsc_p010"])
+def test_shipped_outputs_equal_the_bench_references(tmp_path, stem):
+    cfg = str(ROOT / "configs" / f"{stem}.json")
+    argvs = {".csv": ["exponents", "--config", cfg, "--grid", "0:0.7:200"],
+             ".json": ["thresholds", "--config", cfg]}
+    for suffix, argv in argvs.items():
+        out = tmp_path / f"{stem}{suffix}"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (ROOT / "bench" / "reference" / f"{stem}{suffix}").read_bytes()
 
 
 def test_thresholds_json_values(tmp_path):
@@ -388,9 +401,7 @@ def test_config_needs_kind_or_channel(tmp_path, capsys):
 
 
 def test_shipped_configs_validate():
-    import pathlib
-
-    root = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    root = ROOT / "configs"
     for name in ("pauli_mu095.json", "pauli_mu090.json", "pauli_mu070.json",
                  "bsc_p010.json", "simulate_mu095.json"):
         assert cli.main(["validate", "--config", str(root / name)]) == 0

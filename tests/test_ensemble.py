@@ -16,6 +16,7 @@ from cqexp import (
     MarkovCheck,
     PauliChannelParams,
     binary_pauli,
+    e0,
     enumerate_codebooks,
     error_probability,
     from_classical_dmc,
@@ -26,7 +27,7 @@ from cqexp import (
     sample_codebook,
     verify_markov_bound,
 )
-from cqexp.ensemble import _decode_ensemble, _pgm_errors
+from cqexp.ensemble import RC_BOUND_GRID_POINTS, _decode_ensemble, _pgm_errors, _rc_mean_bound
 from helpers import char_poly_eigs_2x2, pauli_channel, random_channel, random_density
 
 
@@ -373,6 +374,15 @@ def test_decoding_is_chunking_invariant(monkeypatch, ch, chunk_bytes):
     weights, pes = _decode_ensemble(ch, 4, 4, exhaustive=False, trials=37, seed=8)
     assert np.array_equal(weights, default[0])
     assert np.array_equal(pes, default[1])
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (4, 6), (16, 3)])
+def test_mean_bound_is_the_scalar_grid_minimum(m, n):
+    # one batched E0 call, but the same numbers as one scalar call per grid point
+    for ch in (pauli_channel(0.95), random_channel(np.random.default_rng(2), 3, 3)):
+        s_grid = np.linspace(0.0, 1.0, RC_BOUND_GRID_POINTS)
+        want = min(2.0 * (m - 1) ** s * (2.0 ** (-e0(ch, float(s)))) ** n for s in s_grid)
+        assert _rc_mean_bound(ch, m, n) == want
 
 
 def test_run_ensemble_identical_states_exact():

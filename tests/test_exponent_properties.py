@@ -1,0 +1,59 @@
+"""Properties of the exponent functions on random channels: the shape of E_r
+along a sweep, and invariance under one unitary applied to every state."""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from cqexp import (
+    CQChannel,
+    DensityOperator,
+    channel_thresholds,
+    e0,
+    ex_function,
+    holevo_information,
+    random_coding_exponent,
+    sweep,
+)
+from helpers import random_channel, random_unitary
+
+TOL = 1e-12
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def channels(draw):
+    """A random channel with 2 to 4 full-rank states of dimension 2 or 3."""
+    k, d = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    return random_channel(np.random.default_rng(draw(seeds)), k, d)
+
+
+@settings(max_examples=25)
+@given(channels())
+def test_random_coding_exponent_is_nonincreasing_and_convex_in_rate(channel):
+    rates = np.linspace(0.0, 1.25 * holevo_information(channel), 41)
+    curve = sweep(channel, rates)
+    e_r = np.array([p.e_r for p in curve])
+    assert np.all(np.diff(e_r) <= TOL)
+    assert np.all(e_r[:-2] - 2.0 * e_r[1:-1] + e_r[2:] >= -TOL)  # uniform grid
+    assert all(p.e_trc_lb >= p.e_r for p in curve)
+
+
+@settings(max_examples=25)
+@given(channels(), seeds)
+def test_one_unitary_on_every_state_changes_no_exponent(channel, seed):
+    u = random_unitary(np.random.default_rng(seed), channel.dim)
+    rotated = CQChannel(tuple(DensityOperator(u @ s.matrix @ u.conj().T) for s in channel.states),
+                        channel.q)
+    s = np.linspace(0.0, 1.0, 11)
+    assert np.max(np.abs(e0(rotated, s) - e0(channel, s))) <= TOL
+    for r in (1.0, 2.5, 10.0):
+        assert abs(ex_function(rotated, r) - ex_function(channel, r)) <= TOL
+    for rate in (0.0, 0.5 * holevo_information(channel)):
+        assert abs(random_coding_exponent(rotated, rate).value
+                   - random_coding_exponent(channel, rate).value) <= TOL
+    got, want = channel_thresholds(rotated), channel_thresholds(channel)
+    for field in dataclasses.fields(got):
+        assert abs(getattr(got, field.name) - getattr(want, field.name)) <= TOL

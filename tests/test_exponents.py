@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cqexp.exponents
+import cqexp.search
 from cqexp import (
     CQChannel,
     DensityOperator,
@@ -295,32 +296,40 @@ def test_single_point_functions_reject_non_finite(call, match):
 
 def test_grid_values_equal_the_scalar_evaluators(monkeypatch):
     # maximize_on_grid compares grid values with refinement values, so both
-    # must come from the same evaluator with the same rounding
+    # must come from the same evaluator with the same rounding; values hold
+    # one row per lane (rate)
     ch = random_channel(np.random.default_rng(0), 8, 4)
     seen = []
     real = cqexp.exponents.maximize_on_grid
 
     def recording(f, grid, values):
-        seen.append((f, np.array(grid), np.array(values)))
+        seen.append((np.array(grid), np.array(values)))
         return real(f, grid, values)
 
     monkeypatch.setattr(cqexp.exponents, "maximize_on_grid", recording)
+
+    def want(f, grid, rates):
+        return np.array([f(ch, x) for x in grid.tolist()])[None, :] - grid * rates[:, None]
+
     for rate in (0.05, 0.2):
         random_coding_exponent(ch, rate)
-        want = np.array([e0(ch, s) for s in seen[-1][1].tolist()]) - seen[-1][1] * rate
-        assert np.array_equal(seen[-1][2], want)
+        assert np.array_equal(seen[-1][1], want(e0, seen[-1][0], np.array([rate])))
         expurgated_exponent(ch, rate)
-        want = np.array([ex_function(ch, r) for r in seen[-1][1].tolist()]) - seen[-1][1] * rate
-        assert np.array_equal(seen[-1][2], want)
-    assert len(seen) == 4
+        assert np.array_equal(seen[-1][1], want(ex_function, seen[-1][0], np.array([rate])))
+    rates = np.linspace(0.01, 0.3, 7)
+    sweep(ch, rates)
+    assert np.array_equal(seen[-2][1], want(e0, seen[-2][0], rates))
+    assert np.array_equal(seen[-1][1], want(ex_function, seen[-1][0], 2.0 * rates))
+    assert len(seen) == 6
 
 
 def test_sweep_evaluates_the_e0_grid_once_per_channel(monkeypatch):
+    # one batched E0 call for the grid, then one per lockstep iteration
     calls = []
     real = cqexp.exponents.e0
 
     def counting(channel, s):
-        calls.append(s)
+        calls.append(np.size(s))
         return real(channel, s)
 
     monkeypatch.setattr(cqexp.exponents, "e0", counting)
@@ -328,10 +337,12 @@ def test_sweep_evaluates_the_e0_grid_once_per_channel(monkeypatch):
     rates = np.linspace(0.0, 0.6, 50)
     sweep(ch, rates)
     first = len(calls)
-    assert first <= cqexp.exponents.S_GRID_POINTS + 50 * 60  # a per-rate grid makes ~12,850
+    assert calls[0] == cqexp.exponents.S_GRID_POINTS
+    assert first - 1 <= cqexp.search.MAX_ITER + 4
     calls.clear()
     sweep(ch, rates)
-    assert len(calls) == first - cqexp.exponents.S_GRID_POINTS
+    assert len(calls) == first - 1
+    assert max(calls) == rates.size
 
 
 # --- thresholds and diagnostics ----------------------------------------------
