@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .channels import CQChannel
-from .exponents import e0, ex_function
+from .exponents import _check_gamma, e0, ex_function
 from .qlinalg import DensityOperator, DIM_CAP, _eigh, _reject_drift, hermitian_eig, kron
 
 ENUM_CAP = 2 ** 20
@@ -299,11 +299,6 @@ def _tilted_bound(channel: CQChannel, m: int, n: int, r: float) -> float:
     """Pairwise-overlap bound on E[P_e^(1/r)]: M^(1-1/r) (M-1) Z(1/r)^n."""
     z = 2.0 ** (-ex_function(channel, r) / r)
     return float(m ** (1.0 - 1.0 / r) * (m - 1) * z ** n)
-
-
-def _check_gamma(gamma: float) -> None:
-    if not 1.0 <= gamma < math.inf:
-        raise ValueError(f"gamma must be at least 1 and finite (exhaustive check), got {gamma}")
 
 
 def _markov_check(weights: np.ndarray, pes: np.ndarray, r: float,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,6 +89,13 @@ class ChannelThresholds:
     r_inf: float
 
 
+def _refuse_outside(raw, x: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    """Raise ValueError(rule) naming a scalar ``raw``, or else the first entry of x not ok."""
+    if not ok.all():
+        got = raw if np.ndim(raw) == 0 else x[~ok][0]
+        raise ValueError(f"{rule}, got {got}")
+
+
 def e0(channel: CQChannel, s):
     """Random-coding base function E0(s, Q) in bits, at one tilt or an array of them.
 
@@ -98,10 +104,7 @@ def e0(channel: CQChannel, s):
     information.  A float tilt gives a float, an array an array of its shape.
     """
     t = np.asarray(s, dtype=float)
-    bad = ~((-1.0 < t) & (t < math.inf))
-    if bad.any():
-        got = s if t.ndim == 0 else t[bad][0]
-        raise ValueError(f"E0 tilt must exceed -1 and be finite, got {got}")
+    _refuse_outside(s, t, (-1.0 < t) & (t < math.inf), "E0 tilt must exceed -1 and be finite")
     # one exponent per eigenvalue, never broadcast: numpy swaps pow for sqrt or a square
     # on a broadcast 0.5 or 2, for some batch shapes only, so values would follow the batch
     u = np.repeat(t.reshape(-1, 1), channel.dim, axis=1)
@@ -118,36 +121,26 @@ def e0(channel: CQChannel, s):
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
-def ex_function(channel: CQChannel, r: float) -> float:
-    """Expurgated base function Ex(r, Q) = -r log2 Z(1/r) in bits.
+def ex_function(channel: CQChannel, r):
+    """Expurgated base function Ex(r, Q) = -r log2 Z(1/r) in bits, at one order or an array of them.
 
     Finite for every finite r > 0: the diagonal overlap terms keep Z(1/r)
-    at least sum_x Q(x)^2.  The expurgated maximization uses r >= 1.
+    at least sum_x Q(x)^2.  The expurgated maximization uses r >= 1.  A float
+    order gives a float, an array an array of its shape.
     """
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"Ex order must be positive and finite, got {r}")
-    q = channel.q.probabilities
-    return float(-r * np.log2((q @ channel.overlap_gram ** (1.0 / r)) @ q))  # 0**t == 0, t > 0
-
-
-# Each base function on its rate-independent maximization grid, computed once per channel
-# by the evaluator the refinement uses, so a grid value equals the refinement's value bit
-# for bit.  CQChannel is frozen, hashes by identity and holds read-only arrays.
-@lru_cache(maxsize=32)
-def _grid_values(channel: CQChannel, expurgated: bool) -> np.ndarray:
-    vals = (np.array([ex_function(channel, r) for r in _R_GRID.tolist()]) if expurgated
-            else e0(channel, _S_GRID))
-    vals.setflags(write=False)
-    return vals
+    x = np.asarray(r, dtype=float)
+    _refuse_outside(r, x, (0.0 < x) & (x < math.inf), "Ex order must be positive and finite")
+    q, g = channel.q.probabilities, channel.overlap_gram
+    # one 2-D product per order (0**t == 0, t > 0): a stacked contraction sums in another
+    # order, and a scalar exponent keeps numpy's sqrt shortcut at r = 2
+    out = np.array([-v * np.log2((q @ g ** (1.0 / v)) @ q) for v in x.ravel().tolist()])
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _rates(rates) -> np.ndarray:
     """The rates as a 1-d float array (one lane each), refused unless finite and >= 0."""
     r = np.array(rates, dtype=float, ndmin=1)
-    bad = ~((0.0 <= r) & (r < math.inf))
-    if bad.any():
-        got = rates if np.ndim(rates) == 0 else r[bad][0]
-        raise ValueError(f"rate must be finite and nonnegative, got {got}")
+    _refuse_outside(rates, r, (0.0 <= r) & (r < math.inf), "rate must be finite and nonnegative")
     return r
 
 
@@ -156,7 +149,7 @@ def _random_coding_lanes(channel: CQChannel, rates) -> tuple[np.ndarray, np.ndar
     r = _rates(rates)
     objective = _lanewise(lambda s, rate: e0(channel, s) - s * rate, r)
     s_best, v_best = maximize_on_grid(objective, _S_GRID,
-                                      _grid_values(channel, False) - _S_GRID * r[:, None])
+                                      e0(channel, _S_GRID) - _S_GRID * r[:, None])
     zero = (v_best <= 0.0) | (s_best <= 1e-12)
     return np.where(zero, 0.0, v_best), np.where(zero, 0.0, s_best)
 
@@ -174,15 +167,13 @@ def random_coding_exponent(channel: CQChannel, rate: float) -> ExponentValue:
 def _expurgated_lanes(channel: CQChannel, rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E_ex, its maximizer and convergence flag at every rate (see expurgated_exponent)."""
     r = _rates(rates)
-    vals = _grid_values(channel, True) - _R_GRID * r[:, None]
+    vals = ex_function(channel, _R_GRID) - _R_GRID * r[:, None]
     climbing = (np.argmax(vals, axis=1) == _R_GRID.size - 1) & (vals[:, -1] > vals[:, -2])
     divergent = climbing & (r < 2.0 * expurgated_divergence_rate(channel) - DIVERGENCE_MARGIN)
     value = np.where(divergent, math.inf, vals[:, -1])
     r_best = np.where(divergent, math.inf, _R_GRID[-1])
     if not climbing.all():
-        def objective(x, rate):  # one scalar Ex per probe: a batched matmul rounds differently
-            return np.array([ex_function(channel, t) for t in x.tolist()]) - x * rate
-        refine = _lanewise(objective, r[~climbing])
+        refine = _lanewise(lambda x, rate: ex_function(channel, x) - x * rate, r[~climbing])
         r_best[~climbing], value[~climbing] = maximize_on_grid(refine, _R_GRID, vals[~climbing])
     return value, r_best, divergent | ~climbing
 
@@ -217,11 +208,9 @@ def trc_lower_bound(channel: CQChannel, rate: float) -> RatePoint:
 
 def sweep(channel: CQChannel, rates) -> ExponentCurve:
     """Evaluate trc_lower_bound over an ascending nonnegative rate grid, rates in lockstep."""
-    r = np.asarray(rates, dtype=float).ravel()
+    r = _rates(np.ravel(rates))
     if r.size == 0:
         raise ValueError("rate grid is empty")
-    if not (np.isfinite(r).all() and float(r.min()) >= 0):
-        raise ValueError("rates must be finite and nonnegative")
     if np.any(np.diff(r) < 0):
         raise ValueError("rates must be sorted ascending")
     passes = np.array_split(r, -(-r.size // _SWEEP_LANES))
@@ -288,6 +277,11 @@ def overlap_exponent_half_var(channel: CQChannel) -> float:
     return 0.5 * max(0.0, var)
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be at least 1 and finite, got {gamma}")
+
+
 def optimal_tilt_estimate(channel: CQChannel, num_messages: int, block_length: int,
                           gamma: float) -> float:
     """Closed-form estimate of the maximizing tilt order at blocklength n.
@@ -301,8 +295,7 @@ def optimal_tilt_estimate(channel: CQChannel, num_messages: int, block_length: i
         raise ValueError(f"need at least one message, got {num_messages}")
     if block_length < 1:
         raise ValueError(f"block length must be positive, got {block_length}")
-    if not 1.0 <= gamma < math.inf:
-        raise ValueError(f"gamma must be at least 1 and finite, got {gamma}")
+    _check_gamma(gamma)
     halfvar = overlap_exponent_half_var(channel)
     if math.isinf(halfvar) or halfvar <= 0.0:
         return math.nan

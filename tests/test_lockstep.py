@@ -14,6 +14,7 @@ import cqexp.exponents
 from cqexp import (
     channel_from_config,
     e0,
+    ex_function,
     expurgated_exponent,
     holevo_information,
     random_coding_exponent,
@@ -84,7 +85,9 @@ def test_sweep_is_invariant_to_the_lanes_per_pass(monkeypatch):
     sizes, real = [], cqexp.exponents.e0
     monkeypatch.setattr(cqexp.exponents, "e0", lambda c, t: sizes.append(np.size(t)) or real(c, t))
     assert sweep(channel, rates) == whole
-    assert max(sizes) == 4  # the E0 grid is cached, so every call is a refinement
+    grid = cqexp.exponents.S_GRID_POINTS
+    assert sizes.count(grid) == 6  # each pass evaluates its own E0 grid
+    assert max(n for n in sizes if n != grid) <= 4
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.02, 0.1, 0.25, 0.49, 0.5, 0.7, 1.3])
@@ -143,10 +146,13 @@ def test_empty_interval_is_refused():
         golden_section_maximize(_lanewise(lambda x: -x * x), [0.0, 1.0], [1.0, 0.5])
 
 
-@pytest.mark.parametrize("channel", [
+base_function_channels = pytest.mark.parametrize("channel", [
     pauli_channel(0.95), pauli_channel(1.0, 0.0),
     random_channel(np.random.default_rng(3), 3, 3), random_channel(np.random.default_rng(4), 8, 4),
 ], ids=["pauli095", "orthogonal", "random3x3", "random8x4"])
+
+
+@base_function_channels
 def test_batched_e0_equals_scalar_e0_lane_by_lane(channel):
     s = np.concatenate([np.linspace(0.0, 1.0, 65),
                         np.random.default_rng(9).uniform(0.0, 1.0, 40)])
@@ -164,4 +170,30 @@ def test_one_bad_tilt_in_an_array_raises_like_the_scalar_call(bad):
         e0(channel, bad)
     with pytest.raises(ValueError) as batched:
         e0(channel, np.array([0.1, 0.5, bad, 0.7]))
+    assert str(batched.value) == str(scalar.value)
+
+
+@base_function_channels
+def test_batched_ex_equals_scalar_ex_lane_by_lane(channel):
+    r = np.concatenate([cqexp.exponents._R_GRID,
+                        10.0 ** np.random.default_rng(9).uniform(-1.0, 4.0, 40),
+                        [1.0, 2.0, 4.0, 1e4]])
+    got = ex_function(channel, r)
+    assert got.shape == r.shape
+    assert np.array_equal(got, [ex_function(channel, x) for x in r.tolist()])
+    q, g = channel.q.probabilities, channel.overlap_gram
+    assert np.array_equal(got, [-x * np.log2((q @ g ** (1.0 / x)) @ q) for x in r.tolist()])
+    for shape in [(7, 43), (43, 1, 7)]:
+        assert np.array_equal(ex_function(channel, r.reshape(shape)), got.reshape(shape))
+    assert isinstance(ex_function(channel, 2.0), float)
+    assert ex_function(channel, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+def test_one_bad_order_in_an_array_raises_like_the_scalar_call(bad):
+    channel = pauli_channel(0.9)
+    with pytest.raises(ValueError) as scalar:
+        ex_function(channel, bad)
+    with pytest.raises(ValueError) as batched:
+        ex_function(channel, np.array([1.0, 3.5, bad, 40.0]))
     assert str(batched.value) == str(scalar.value)
