@@ -71,10 +71,10 @@ class InputDistribution:
 class CQChannel:
     """Validated classical-quantum channel: one density operator per symbol.
 
-    Construction collects every structural failure (empty state list, mixed
-    dimensions, alphabet/distribution length mismatch) into a single
-    ChannelValidationError.  ``q`` may be given as a raw probability sequence,
-    or as None for the uniform distribution.
+    Construction collects every failure (empty state list, a state that is
+    not positive semidefinite, mixed dimensions, alphabet/distribution length
+    mismatch) into a single ChannelValidationError.  ``q`` may be given as a
+    raw probability sequence, or as None for the uniform distribution.
     """
 
     states: tuple[DensityOperator, ...]
@@ -89,6 +89,11 @@ class CQChannel:
         for i, s in enumerate(states):
             if not isinstance(s, DensityOperator):
                 problems.append(f"state {i} is not a DensityOperator")
+                continue
+            try:
+                s.spectrum  # cached on the state; refuses one that is not PSD
+            except ValueError as exc:
+                problems.append(f"state {i}: {exc}")
         if not problems:
             dims = {s.dim for s in states}
             if len(dims) > 1:

@@ -10,9 +10,11 @@ Subcommands::
 The config file is either a bare channel document ({"kind": ...}) or a run
 document with a "channel" key plus defaults for grid / m / n / trials /
 seed / r_list / gamma / exhaustive.  Command-line flags override config
-values.  Exit codes: 0 success, 1 invalid configuration or unwritable
-output, 2 a bound verdict failed.  Output is deterministic: identical
-configs and seeds give byte-identical files.  Infinities are written "inf".
+values.  Exit codes: 0 success, 1 a refusal (a usage error, an invalid
+configuration or value, an unwritable output; every subcommand reports it
+as one "error: ..." line on stderr), 2 a bound verdict failed.  Output is
+deterministic: identical configs and seeds give byte-identical files.
+Infinities are written "inf".
 """
 
 from __future__ import annotations
@@ -42,24 +44,20 @@ EXIT_VERDICT = 2
 CSV_HEADER = "R,E_r,E_ex_2R_plus_R,E_trc_lb,s_opt,r_opt,divergent_flag"
 
 
-class CliError(Exception):
-    """Configuration or usage problem; maps to exit code 1."""
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(
+        raise ValueError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(doc, dict):
-        raise CliError(f"{path}: config must be a JSON object")
+        raise ValueError(f"{path}: config must be a JSON object")
     return doc
 
 
@@ -72,11 +70,11 @@ def _load_channel(args):
     elif "channel" in doc:
         channel_doc, run = doc["channel"], {k: v for k, v in doc.items() if k != "channel"}
     else:
-        raise CliError("config needs either a top-level 'kind' or a 'channel' object")
+        raise ValueError("config needs either a top-level 'kind' or a 'channel' object")
     try:
         return channel_from_config(channel_doc), run
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"invalid channel config: {exc}") from exc
+        raise ValueError(f"invalid channel config: {exc}") from exc
 
 
 def _integer(value) -> int:
@@ -95,23 +93,21 @@ def _numbers(value) -> tuple[float, ...]:
 
 def _grid_from_parts(lo: float, hi: float, count: int) -> np.ndarray:
     if not 0 <= lo < math.inf:
-        raise CliError(f"grid min must be finite and nonnegative, got {lo}")
+        raise ValueError(f"grid min must be finite and nonnegative, got {lo}")
     if not lo < hi < math.inf:
-        raise CliError(f"grid max must be finite and exceed min, got [{lo}, {hi}]")
+        raise ValueError(f"grid max must be finite and exceed min, got [{lo}, {hi}]")
     if count < 2:
-        raise CliError(f"grid needs at least 2 points, got {count}")
+        raise ValueError(f"grid needs at least 2 points, got {count}")
     return np.linspace(lo, hi, count)
 
 
 def _parse_grid_flag(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise CliError(f"--grid expects min:max:count, got {text!r}")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = text.split(":")
+        parts = float(lo), float(hi), int(count)
     except ValueError as exc:
-        raise CliError(f"--grid expects min:max:count, got {text!r}") from exc
-    return _grid_from_parts(lo, hi, count)
+        raise ValueError(f"--grid expects min:max:count, got {text!r}") from exc
+    return _grid_from_parts(*parts)
 
 
 def _rates(args, run: dict) -> np.ndarray:
@@ -121,14 +117,15 @@ def _rates(args, run: dict) -> np.ndarray:
         try:
             return np.asarray(_numbers(run["rates"]))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise CliError(f"config 'rates' must be a list of numbers: {exc}") from exc
+            raise ValueError(f"config 'rates' must be a list of numbers: {exc}") from exc
     if "grid" in run:
         g = run["grid"]
         try:
-            return _grid_from_parts(*_numbers([g["min"], g["max"]]), _integer(g["count"]))
+            lo, hi, count = *_numbers([g["min"], g["max"]]), _integer(g["count"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CliError(f"config 'grid' needs numeric min/max/count: {exc}") from exc
-    raise CliError("no rate grid: pass --grid min:max:count or put grid/rates in the config")
+            raise ValueError(f"config 'grid' needs numeric min/max/count: {exc}") from exc
+        return _grid_from_parts(lo, hi, count)
+    raise ValueError("no rate grid: pass --grid min:max:count or put grid/rates in the config")
 
 
 def _check_out(out: str | None) -> None:
@@ -137,7 +134,7 @@ def _check_out(out: str | None) -> None:
         return
     target = out if os.path.exists(out) else os.path.dirname(os.path.abspath(out))
     if os.path.isdir(out) or not os.access(target, os.W_OK):
-        raise CliError(f"cannot write {out}: not a writable file path")
+        raise ValueError(f"cannot write {out}: not a writable file path")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -148,7 +145,7 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError(f"cannot write {out}: {exc}") from exc
+        raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -162,12 +159,8 @@ def _json_text(doc: dict) -> str:
 def cmd_exponents(args) -> int:
     channel, run = _load_channel(args)
     rates = _rates(args, run)
-    try:
-        curve = sweep(channel, rates)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     lines = [CSV_HEADER]
-    for p in curve:
+    for p in sweep(channel, rates):
         lines.append(",".join([
             _fmt(p.rate), _fmt(p.e_r), _fmt(p.e_ex_shifted), _fmt(p.e_trc_lb),
             _fmt(p.s_opt), _fmt(p.r_opt), str(int(p.divergent)),
@@ -196,13 +189,14 @@ def _param(run: dict, key: str, flag, convert=_integer, required: bool = False):
     value = flag if flag is not None else run.get(key)
     if value is None:
         if required:
-            raise CliError(f"simulate needs '{key}' in the config or as a flag")
+            raise ValueError(f"simulate needs '{key}' in the config or as a flag")
         return None
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         kind = {_integer: "an integer", _numbers: "a list of numbers"}.get(convert, "numeric")
-        raise CliError(f"'{key}' (--{key.replace('_', '-')}) must be {kind}, got {value!r}") from exc
+        raise ValueError(
+            f"'{key}' (--{key.replace('_', '-')}) must be {kind}, got {value!r}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -213,19 +207,16 @@ def cmd_simulate(args) -> int:
     trials = _param(run, "trials", args.trials)
     exhaustive = args.exhaustive or run.get("exhaustive", False)
     if not isinstance(exhaustive, bool):
-        raise CliError(f"'exhaustive' must be true or false, got {exhaustive!r}")
+        raise ValueError(f"'exhaustive' must be true or false, got {exhaustive!r}")
     # --r-list is text, so its tokens are parsed; config values must be JSON numbers
     r_flag = None if args.r_list is None else [
         _param({}, "r_list", t, convert=float) for t in args.r_list.split(",")]
     r_list = _param(run, "r_list", r_flag, convert=_numbers)
     gamma = _param(run, "gamma", args.gamma, convert=lambda v: _numbers([v])[0])
 
-    try:
-        report = run_ensemble(channel, m, n, trials=trials, exhaustive=exhaustive,
-                              r_list=(1.0, 2.0, 4.0) if r_list is None else r_list,
-                              seed=seed, gamma=gamma)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = run_ensemble(channel, m, n, trials=trials, exhaustive=exhaustive,
+                          r_list=(1.0, 2.0, 4.0) if r_list is None else r_list,
+                          seed=seed, gamma=gamma)
     _emit(_json_text(report.to_json_dict()), args.out)
     return EXIT_OK if report.all_passed else EXIT_VERDICT
 
@@ -242,8 +233,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is refused like any other value
+        raise ValueError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cqexp",
         description="Error exponents and ensemble checks for classical-quantum channels",
     )
@@ -278,7 +274,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     handlers = {
         "exponents": cmd_exponents,
         "thresholds": cmd_thresholds,
@@ -286,9 +281,10 @@ def main(argv=None) -> int:
         "validate": cmd_validate,
     }
     try:
+        args = _parser().parse_args(argv)
         _check_out(args.out)
         return handlers[args.command](args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -327,6 +327,8 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
     r_list = tuple(float(r) for r in r_list)
     if not all(1.0 <= r < math.inf for r in r_list):
         raise ValueError(f"tilt orders must be finite and >= 1, got {r_list}")
+    if len({f"{r:g}" for r in r_list}) < len(r_list):  # the report keys orders by %g
+        raise ValueError(f"tilt orders must be distinct as printed (%g), got {r_list}")
     if gamma is not None:
         if not exhaustive:
             raise ValueError("the quantile check (gamma) needs exhaustive enumeration: it is exact")

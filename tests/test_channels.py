@@ -87,6 +87,17 @@ def test_channel_rejects_non_density_state():
         CQChannel((np.eye(2) / 2,), InputDistribution.uniform(1))
 
 
+def test_channel_rejects_a_state_that_is_not_psd():
+    # hermitian with unit trace, so DensityOperator itself accepts it (its spectrum is lazy)
+    bad = DensityOperator(np.diag([1.5, -0.5]))
+    with pytest.raises(ChannelValidationError, match="state 0: .*not positive semidefinite"):
+        CQChannel((bad, DensityOperator.maximally_mixed(2)), None)
+    doc = {"kind": "generic",
+           "states": [{"re": [[1.5, 0], [0, -0.5]]}, {"re": [[0.5, 0], [0, 0.5]]}]}
+    with pytest.raises(ChannelValidationError, match="state 0: .*not positive semidefinite"):
+        channel_from_config(doc)
+
+
 def test_pauli_params_range():
     with pytest.raises(ValueError, match="purity"):
         PauliChannelParams(mu=0.4, theta=0.0)

@@ -252,6 +252,7 @@ def test_simulate_gamma_requires_exhaustive(tmp_path, capsys):
     ["--exhaustive", "--r-list", "1,nan"],
     ["--exhaustive", "--m", "1"],
     ["--trials", "5", "--out", "/nonexistent/dir/r.json"],
+    ["--exhaustive", "--r-list", "1.0000001,1.0000002"],
 ])
 def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("cqexp.ensemble._pgm_errors",
@@ -369,6 +370,16 @@ def test_validate_rejects_bad_state(tmp_path, capsys):
     assert "invalid channel config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "thresholds"])
+def test_state_that_is_not_psd_exits_1(tmp_path, capsys, command):
+    doc = {"kind": "generic",
+           "states": [{"re": [[1.5, 0], [0, -0.5]]}, {"re": [[0.5, 0], [0, 0.5]]}]}
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid channel config: ") and err.count("\n") == 1
+    assert "state 0" in err and "not positive semidefinite" in err
+
+
 def test_unknown_kind(tmp_path, capsys):
     cfg = write_config(tmp_path, {"kind": "telepathy"})
     assert cli.main(["thresholds", "--config", cfg]) == 1
@@ -405,3 +416,31 @@ def test_shipped_configs_validate():
     for name in ("pauli_mu095.json", "pauli_mu090.json", "pauli_mu070.json",
                  "bsc_p010.json", "simulate_mu095.json"):
         assert cli.main(["validate", "--config", str(root / name)]) == 0
+
+
+# --- exit codes: usage errors are refusals, exit 2 is only a failed verdict ----
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["simulate", "--config", "CFG", "--m", "abc"], "--m"),
+    (["simulate", "--config", "CFG", "--trials", "1.5"], "--trials"),
+    (["simulate", "--config", "CFG", "--gamma", "x"], "--gamma"),
+    (["simulate", "--m", "2", "--n", "2"], "--config"),
+    (["exponents", "--config", "CFG", "--grid", "0:0.5:3", "--bogus"], "--bogus"),
+    (["frobnicate", "--config", "CFG"], "frobnicate"),
+    ([], "command"),
+])
+def test_usage_errors_exit_1_with_one_line(tmp_path, capsys, argv, needle):
+    cfg = write_config(tmp_path, PAULI_DOC)
+    assert cli.main([cfg if a == "CFG" else a for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "usage:" not in err and needle in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -1,11 +1,20 @@
 """Invariances of the square-root-measurement error under codebook and
-channel symmetries, checked through the public slow path
-(product_state -> pgm_povm -> error_probability) on random qubit channels."""
+channel symmetries, and the Helstrom lower bound for two codewords, checked
+through the public slow path (product_state -> pgm_povm -> error_probability)
+on random qubit channels."""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from cqexp import CQChannel, Codebook, DensityOperator, error_probability, pgm_povm, product_state
+from cqexp import (
+    CQChannel,
+    Codebook,
+    DensityOperator,
+    error_probability,
+    helstrom_error,
+    pgm_povm,
+    product_state,
+)
 from helpers import random_channel, random_unitary
 
 TOL = 1e-12
@@ -20,11 +29,11 @@ def average_error(channel, words) -> float:
 
 
 @st.composite
-def channels_and_codebooks(draw):
+def channels_and_codebooks(draw, ms=st.integers(2, 4)):
     """A random qubit channel (2 or 3 symbols) and an M x n codebook, M, n <= 4."""
     k = draw(st.integers(2, 3))
     channel = random_channel(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), k, 2)
-    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    m, n = draw(ms), draw(st.integers(1, 4))
     words = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
                           min_size=m, max_size=m))
     return channel, np.array(words)
@@ -56,3 +65,10 @@ def test_conjugating_every_state_by_one_unitary_keeps_the_error(case, seed):
     rotated = CQChannel(tuple(DensityOperator(u @ s.matrix @ u.conj().T) for s in channel.states),
                         channel.q)
     assert abs(average_error(rotated, words) - average_error(channel, words)) <= TOL
+
+
+@given(channels_and_codebooks(ms=st.just(2)))
+def test_two_codeword_error_is_at_least_the_helstrom_error(case):
+    channel, words = case
+    first, second = (product_state(channel, w) for w in words)
+    assert average_error(channel, words) >= helstrom_error(first, second) - TOL

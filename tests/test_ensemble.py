@@ -418,7 +418,9 @@ def test_run_ensemble_deterministic_reruns():
     assert text_a != text_c
 
 
-def test_run_ensemble_validation():
+def test_run_ensemble_validation(monkeypatch):
+    monkeypatch.setattr("cqexp.ensemble._pgm_errors",
+                        lambda states: pytest.fail("a codebook was decoded before the refusal"))
     ch = pauli_channel(0.9)
     with pytest.raises(ValueError, match="trials"):
         run_ensemble(ch, 2, 2)
@@ -430,6 +432,11 @@ def test_run_ensemble_validation():
         run_ensemble(ch, 2, 2, trials=100, gamma=4.0)
     with pytest.raises(ValueError, match="at least 1"):
         run_ensemble(ch, 2, 2, exhaustive=True, gamma=0.5)
+    # the report keys tilted means and names checks by f"{r:g}": such orders would merge
+    with pytest.raises(ValueError, match="distinct"):
+        run_ensemble(ch, 2, 2, trials=100, r_list=(1.0000001, 1.0000002))
+    with pytest.raises(ValueError, match="distinct"):
+        run_ensemble(ch, 2, 2, exhaustive=True, r_list=(1.0, 4.0, 4))
 
 
 def test_run_ensemble_infinite_exponent_samples():

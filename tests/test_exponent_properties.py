@@ -1,5 +1,6 @@
 """Properties of the exponent functions on random channels: the shape of E_r
-along a sweep, and invariance under one unitary applied to every state."""
+along a sweep, invariance under one unitary applied to every state, and the
+classical formulas on embedded DMCs."""
 
 import dataclasses
 
@@ -12,13 +13,16 @@ from cqexp import (
     channel_thresholds,
     e0,
     ex_function,
+    from_classical_dmc,
     holevo_information,
     random_coding_exponent,
     sweep,
 )
-from helpers import random_channel, random_unitary
+from helpers import classical_e0, classical_ex, classical_mi, random_channel, random_dmc, \
+    random_unitary
 
 TOL = 1e-12
+CLASSICAL_TOL = 1e-10
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -28,6 +32,13 @@ def channels(draw):
     """A random channel with 2 to 4 full-rank states of dimension 2 or 3."""
     k, d = draw(st.integers(2, 4)), draw(st.integers(2, 3))
     return random_channel(np.random.default_rng(draw(seeds)), k, d)
+
+
+@st.composite
+def dmcs(draw):
+    """A random DMC with 2 to 4 inputs and outputs, all entries and inputs positive."""
+    kx, ky = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    return random_dmc(np.random.default_rng(draw(seeds)), kx, ky)
 
 
 @settings(max_examples=25)
@@ -57,3 +68,14 @@ def test_one_unitary_on_every_state_changes_no_exponent(channel, seed):
     got, want = channel_thresholds(rotated), channel_thresholds(channel)
     for field in dataclasses.fields(got):
         assert abs(getattr(got, field.name) - getattr(want, field.name)) <= TOL
+
+
+@given(dmcs(), st.floats(0.0, 1.0), st.floats(1.0, 100.0))
+def test_exponents_match_classical_formulas(dmc, s, r):
+    w, q = dmc
+    ch = from_classical_dmc(w, q)
+    for tilt in (0.0, 0.25, 0.5, 1.0, s):
+        assert abs(e0(ch, tilt) - classical_e0(w, q, tilt)) <= CLASSICAL_TOL
+    for order in (1.0, 2.0, 4.0, r):
+        assert abs(ex_function(ch, order) - classical_ex(w, q, order)) <= CLASSICAL_TOL
+    assert abs(holevo_information(ch) - classical_mi(w, q)) <= CLASSICAL_TOL

@@ -31,13 +31,9 @@ from cqexp import (
     verify_markov_bound,
 )
 from helpers import (
-    classical_e0,
-    classical_ex,
-    classical_mi,
     pauli_channel,
     pauli_pair_overlap,
     random_channel,
-    random_dmc,
 )
 
 
@@ -438,18 +434,3 @@ def test_channel_thresholds_invariants():
     assert th.r_star == pytest.approx(0.5, abs=1e-12)
     assert th.r_inf == pytest.approx(0.5, abs=1e-12)
     assert th.capacity_at_q == pytest.approx(1.0, abs=1e-12)
-
-
-# --- classical equivalence ---------------------------------------------------
-
-
-def test_exponents_match_classical_formulas():
-    rng = np.random.default_rng(67)
-    for _ in range(8):
-        w, q = random_dmc(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        ch = from_classical_dmc(w, q)
-        for s in (0.0, 0.25, 0.5, 1.0):
-            assert abs(e0(ch, s) - classical_e0(w, q, s)) < 1e-10
-        for r in (1.0, 2.0, 4.0):
-            assert abs(ex_function(ch, r) - classical_ex(w, q, r)) < 1e-10
-        assert abs(holevo_information(ch) - classical_mi(w, q)) < 1e-10
