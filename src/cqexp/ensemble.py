@@ -1,20 +1,20 @@
 """Finite-blocklength laboratory for i.i.d. code ensembles.
 
 Codebooks of M codewords of length n are drawn i.i.d. from Q (or enumerated
-exhaustively with their product probabilities), encoded into tensor-product
-states, and decoded with the square-root (pretty good) measurement.  The
-module evaluates the ensemble-average error bound, the tilted-moment bound
-built from pairwise overlaps, and the Markov-type quantile bound, reporting
-each as a PASS/FAIL verdict with explicit slack: zero (1e-12) in exhaustive
-mode, three standard errors in Monte-Carlo mode.
+exhaustively with their product probabilities) as integer codeword arrays,
+encoded into tensor-product states, and decoded with the square-root (pretty
+good) measurement.  The module evaluates the ensemble-average error bound,
+the tilted-moment bound built from pairwise overlaps, and the Markov-type
+quantile bound, reporting each as a PASS/FAIL verdict with explicit slack:
+zero (1e-12) in exhaustive mode, three standard errors in Monte-Carlo mode.
 
 Caps: product-state dimension d**n <= 4096, exhaustive enumeration
-|X|**(M n) <= 2**20, and at most 256 KiB of product states per decoded chunk.
+|X|**(M n) <= 2**20, and product states of at most 2**30 bytes per decoded
+codebook and 256 KiB per decoded chunk.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import reduce
@@ -27,6 +27,7 @@ from .exponents import _check_gamma, e0, ex_function
 from .qlinalg import DensityOperator, DIM_CAP, _eigh, _reject_drift, hermitian_eig, kron
 
 ENUM_CAP = 2 ** 20
+BOOK_BYTES_CAP = 2 ** 30  # product states of one decoded codebook, M D^2 itemsize
 DECODE_CHUNK_BYTES = 2 ** 18  # product states held at once by the decoder (one codebook at least)
 SUPPORT_TOL = 1e-10  # eigenvalues of the state sum below this are not inverted
 EXACT_SLACK = 1e-12
@@ -47,7 +48,7 @@ class Codebook:
     provenance: tuple[str, int]
 
     def __post_init__(self):
-        words = np.array(self.codewords, dtype=np.int64)  # a copy: the caller's stays writable
+        words = _symbols(self.codewords)  # a copy: the caller's stays writable
         if words.shape != (self.m, self.n):
             raise ValueError(f"codewords shape {words.shape} does not match ({self.m}, {self.n})")
         words.setflags(write=False)
@@ -145,11 +146,40 @@ def _check_book(channel: CQChannel, m: int, n: int) -> None:
     _check_dims(channel, n)
 
 
+def _symbols(codewords) -> np.ndarray:
+    """Codeword symbols as a new int64 array; a symbol that is not integral is refused."""
+    raw = np.asarray(codewords)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, then fail the comparison
+        words = raw.astype(np.int64)
+    if not np.array_equal(words, raw):
+        raise ValueError(f"codeword symbols must be integers, got {raw.tolist()}")
+    return words
+
+
+def _codeword_chunks(channel: CQChannel, m: int, n: int, chunk: int,
+                     seeds: list[int] | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(B, M, n) int64 codeword arrays, B <= chunk, with their (B,) weights: each codebook
+    in itertools.product order (its index's mixed-radix digits) with its probability, or
+    one default_rng(seed) draw per seed, weighted 1/len(seeds).  The caller validates m
+    and n; the enumeration refuses more than ENUM_CAP codebooks when it starts."""
+    k, q = channel.alphabet_size, channel.q.probabilities
+    if seeds is not None:  # all drawn up front: interleaving with decoding measured 3% slower
+        drawn = np.array([np.random.default_rng(s).choice(k, size=(m, n), p=q) for s in seeds])
+        for lo in range(0, len(seeds), chunk):
+            yield drawn[lo:lo + chunk], np.full(len(drawn[lo:lo + chunk]), 1.0 / len(seeds))
+        return
+    if k ** (m * n) > ENUM_CAP:
+        raise ValueError(f"enumeration space {k}**{m * n} exceeds the cap 2**20")
+    places = k ** np.arange(m * n - 1, -1, -1)
+    for lo in range(0, k ** (m * n), chunk):
+        digits = np.arange(lo, min(lo + chunk, k ** (m * n)))[:, None] // places % k
+        yield digits.reshape(-1, m, n), np.prod(q[digits], axis=1)
+
+
 def sample_codebook(channel: CQChannel, m: int, n: int, seed: int) -> Codebook:
     """Draw M codewords of length n i.i.d. from Q, reproducibly from the seed."""
     _check_book(channel, m, n)
-    rng = np.random.default_rng(seed)
-    words = rng.choice(channel.alphabet_size, size=(m, n), p=channel.q.probabilities)
+    (words,), _ = next(_codeword_chunks(channel, m, n, 1, [seed]))
     return Codebook(m=m, n=n, codewords=words, provenance=("sampled", int(seed)))
 
 
@@ -157,20 +187,13 @@ def enumerate_codebooks(channel: CQChannel, m: int, n: int
                         ) -> Iterator[tuple[Codebook, float]]:
     """Yield every codebook with its product probability under Q x ... x Q."""
     _check_book(channel, m, n)
-    k = channel.alphabet_size
-    total = k ** (m * n)
-    if total > ENUM_CAP:
-        raise ValueError(f"enumeration space {k}**{m * n} exceeds the cap 2**20")
-    q = channel.q.probabilities
-    for idx, flat in enumerate(itertools.product(range(k), repeat=m * n)):
-        words = np.reshape(flat, (m, n))
-        prob = float(np.prod(q[list(flat)]))
-        yield Codebook(m=m, n=n, codewords=words, provenance=("enumerated", idx)), prob
+    for idx, ((words,), (prob,)) in enumerate(_codeword_chunks(channel, m, n, 1)):
+        yield Codebook(m=m, n=n, codewords=words, provenance=("enumerated", idx)), float(prob)
 
 
 def product_state(channel: CQChannel, codeword) -> DensityOperator:
     """Tensor product of the per-symbol states along one codeword."""
-    word = np.asarray(codeword, dtype=np.int64).ravel()
+    word = _symbols(codeword).ravel()
     if word.size == 0:
         raise ValueError("codeword is empty")
     if word.min() < 0 or word.max() >= channel.alphabet_size:
@@ -257,29 +280,27 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     """Decode each enumerated (or drawn) codebook once, in chunks of at most
     DECODE_CHUNK_BYTES of product states built from the validated letters (real
     when every letter is); return codebook probabilities and average errors."""
-    if exhaustive:
-        _check_book(channel, m, n)  # the lazy enumeration checks only once iterated
-        pairs = enumerate_codebooks(channel, m, n)
-    else:
-        if trials is None or trials < 1:
-            raise ValueError("Monte-Carlo mode needs trials >= 1 (or pass exhaustive=True)")
-        sub_seeds = np.random.SeedSequence(seed).generate_state(trials)
-        # drawn before decoding: interleaving the draws measured about 3% slower
-        pairs = [(sample_codebook(channel, m, n, int(s)), 1.0 / trials) for s in sub_seeds]
+    if not exhaustive and (trials is None or trials < 1):
+        raise ValueError("Monte-Carlo mode needs trials >= 1 (or pass exhaustive=True)")
+    _check_book(channel, m, n)
     letters = np.array([s.matrix for s in channel.states])  # (k, d, d)
     if not letters.imag.any():
         letters = letters.real
-    chunk = max(1, DECODE_CHUNK_BYTES // (m * channel.dim ** (2 * n) * letters.itemsize))
-    pairs, weights, pes = iter(pairs), [], []
-    while batch := list(itertools.islice(pairs, chunk)):
-        words = np.array([book.codewords for book, _ in batch])  # (B, M, n)
+    book_bytes = m * channel.dim ** (2 * n) * letters.itemsize
+    if book_bytes > BOOK_BYTES_CAP:
+        raise ValueError(f"the {m} product states of one codebook take {book_bytes} bytes, "
+                         f"over the cap {BOOK_BYTES_CAP}")
+    chunk = max(1, DECODE_CHUNK_BYTES // book_bytes)
+    seeds = None if exhaustive else np.random.SeedSequence(seed).generate_state(trials).tolist()
+    weights, pes = [], []
+    for words, weight in _codeword_chunks(channel, m, n, chunk, seeds):
         states = letters[words[..., 0]]
         for col in range(1, n):  # Kronecker chain, left to right as in product_state
             outer = states[..., :, None, :, None] * letters[words[..., col]][..., None, :, None, :]
             states = outer.reshape(*outer.shape[:2], outer.shape[2] * outer.shape[3], -1)
         pes.append(_pgm_errors(states))
-        weights.extend(weight for _, weight in batch)
-    return np.array(weights), np.concatenate(pes)
+        weights.append(weight)
+    return np.concatenate(weights), np.concatenate(pes)
 
 
 def _rc_mean_bound(channel: CQChannel, m: int, n: int) -> float:

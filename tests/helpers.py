@@ -4,19 +4,22 @@ Everything here is deliberately computed along a different route than the
 package: 2x2 eigenvalues from the characteristic polynomial, qubit overlaps
 from Bloch-vector closed forms, exponent functions from their classical
 scalar formulas on diagonal embeddings, the exponent searches one rate and
-one scalar probe at a time.  Agreement between the two routes is what the
-tests assert.
+one scalar probe at a time, the codebook enumeration one itertools.product
+tuple at a time.  Agreement between the two routes is what the tests assert.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from cqexp import (
     CQChannel,
+    Codebook,
     DensityOperator,
     InputDistribution,
     PauliChannelParams,
@@ -26,6 +29,7 @@ from cqexp import (
     ex_function,
     expurgated_divergence_rate,
 )
+from cqexp.ensemble import ENUM_CAP, _check_book
 from cqexp.exponents import _R_GRID, _S_GRID, DIVERGENCE_MARGIN
 from cqexp.search import GOLDEN, MAX_ITER, PARAM_TOL
 
@@ -223,3 +227,21 @@ def scalar_rate_point(channel: CQChannel, rate: float) -> RatePoint:
     return RatePoint(rate=float(rate), e_r=e_r, e_ex_shifted=shifted,
                      e_trc_lb=max(e_r, shifted), s_opt=s_opt, r_opt=r_opt,
                      divergent=math.isinf(shifted))
+
+
+# --- codebook enumeration (oracle for the mixed-radix codeword arrays) --------
+
+
+def product_codebooks(channel: CQChannel, m: int, n: int
+                      ) -> Iterator[tuple[Codebook, float]]:
+    """Yield every codebook with its product probability under Q x ... x Q."""
+    _check_book(channel, m, n)
+    k = channel.alphabet_size
+    total = k ** (m * n)
+    if total > ENUM_CAP:
+        raise ValueError(f"enumeration space {k}**{m * n} exceeds the cap 2**20")
+    q = channel.q.probabilities
+    for idx, flat in enumerate(itertools.product(range(k), repeat=m * n)):
+        words = np.reshape(flat, (m, n))
+        prob = float(np.prod(q[list(flat)]))
+        yield Codebook(m=m, n=n, codewords=words, provenance=("enumerated", idx)), prob

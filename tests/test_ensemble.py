@@ -27,8 +27,20 @@ from cqexp import (
     sample_codebook,
     verify_markov_bound,
 )
-from cqexp.ensemble import RC_BOUND_GRID_POINTS, _decode_ensemble, _pgm_errors, _rc_mean_bound
-from helpers import char_poly_eigs_2x2, pauli_channel, random_channel, random_density
+from cqexp.ensemble import (
+    RC_BOUND_GRID_POINTS,
+    _codeword_chunks,
+    _decode_ensemble,
+    _pgm_errors,
+    _rc_mean_bound,
+)
+from helpers import (
+    char_poly_eigs_2x2,
+    pauli_channel,
+    product_codebooks,
+    random_channel,
+    random_density,
+)
 
 
 def orthogonal_channel():
@@ -70,6 +82,16 @@ def test_codebook_leaves_the_callers_array_writable():
     assert words.flags.writeable
     words[0, 0] = 1
     assert book.codewords[0, 0] == 0
+
+
+@pytest.mark.parametrize("bad", [[[0.7, 1.2], [1.9, 0.0]], [[0.0, 1.0], [1.0, math.nan]],
+                                 [[0.0, 1.0], [math.inf, 0.0]]])
+def test_codebook_refuses_non_integral_symbols(bad):
+    with pytest.raises(ValueError, match="must be integers"):
+        Codebook(m=2, n=2, codewords=bad, provenance=("sampled", 0))
+    book = Codebook(m=2, n=2, codewords=[[0.0, 1.0], [1.0, 0.0]], provenance=("sampled", 0))
+    assert book.codewords.dtype == np.int64  # integral floats are accepted
+    assert book.codewords.tolist() == [[0, 1], [1, 0]]
 
 
 def test_sample_codebook_deterministic():
@@ -132,6 +154,40 @@ def test_exhaustive_mode_needs_two_codewords():
         run_ensemble(ch, 1, 2, exhaustive=True)
 
 
+def channel_with_q(q):
+    rng = np.random.default_rng(len(q))
+    return CQChannel(tuple(random_density(rng, 2) for _ in q), InputDistribution(q))
+
+
+@pytest.mark.parametrize("q, m, n", [
+    ((0.3, 0.7), 2, 1),
+    ((0.3, 0.7), 4, 3),
+    ((0.1, 0.2, 0.7), 2, 2),
+    ((0.1, 0.2, 0.7), 2, 3),
+    ((0.0, 0.35, 0.65), 2, 2),  # weight-0 codebooks stay enumerated
+    ((0.1, 0.15, 0.2, 0.25, 0.3), 2, 2),
+])
+def test_enumeration_equals_the_itertools_oracle(q, m, n):
+    ch = channel_with_q(np.array(q))
+    oracle = list(product_codebooks(ch, m, n))
+    pairs = list(enumerate_codebooks(ch, m, n))
+    assert len(pairs) == len(oracle) == len(q) ** (m * n)
+    for (book, prob), (want, want_prob) in zip(pairs, oracle):
+        assert np.array_equal(book.codewords, want.codewords)
+        assert book.provenance == want.provenance
+        assert type(prob) is float and prob == want_prob
+    oracle_weights = np.array([prob for _, prob in oracle])
+    assert bool((oracle_weights == 0.0).any()) is (0.0 in q)
+    if ch.dim ** n * m <= 64:
+        weights, _ = _decode_ensemble(ch, m, n)
+        assert np.array_equal(weights, oracle_weights)
+    for chunk in (1, 7, len(oracle)):
+        words, weights = map(np.concatenate, zip(*_codeword_chunks(ch, m, n, chunk)))
+        assert words.dtype == np.int64
+        assert np.array_equal(words, [book.codewords for book, _ in oracle])
+        assert np.array_equal(weights, oracle_weights)
+
+
 def test_enumerate_codebooks_cap():
     ch = pauli_channel(0.9)
     with pytest.raises(ValueError, match="cap"):
@@ -160,6 +216,9 @@ def test_product_state_validation():
     ch = pauli_channel(0.95)
     with pytest.raises(ValueError, match="empty"):
         product_state(ch, [])
+    with pytest.raises(ValueError, match="must be integers"):
+        product_state(ch, [0.7, 1.9])  # not truncated to [0, 1]
+    assert np.array_equal(product_state(ch, [0.0, 1.0]).matrix, product_state(ch, [0, 1]).matrix)
     with pytest.raises(ValueError, match="symbols"):
         product_state(ch, [0, 2])
     with pytest.raises(ValueError, match="cap"):
@@ -365,15 +424,56 @@ def test_decoder_equals_public_slow_path(ch, m, n, deficient, exhaustive):
     assert all(rank < ch.dim ** n for rank in ranks) is deficient
 
 
-@pytest.mark.parametrize("ch", [pauli_channel(0.95), random_channel(np.random.default_rng(1), 3, 2)])
+CHUNK_CHANNELS = (pauli_channel(0.95), random_channel(np.random.default_rng(1), 3, 2))
+
+
+# explicit ids keep the Monte-Carlo cases' names (ch0, ch1) stable
+@pytest.mark.parametrize("ch, exhaustive", [
+    pytest.param(ch, exhaustive, id=f"ch{i}" + "-exhaustive" * exhaustive)
+    for exhaustive in (False, True) for i, ch in enumerate(CHUNK_CHANNELS)])
 @pytest.mark.parametrize("chunk_bytes", [1, 2 ** 30])
-def test_decoding_is_chunking_invariant(monkeypatch, ch, chunk_bytes):
-    # 37 draws of 16x16 products leave a partial last chunk at the default size
-    default = _decode_ensemble(ch, 4, 4, exhaustive=False, trials=37, seed=8)
+def test_decoding_is_chunking_invariant(monkeypatch, ch, exhaustive, chunk_bytes):
+    # 37 draws of 16x16 products, and the 729 M=2 n=3 codebooks of the 3-letter
+    # channel, leave a partial last chunk at the default size
+    m, n = (2, 3) if exhaustive else (4, 4)
+    default = _decode_ensemble(ch, m, n, exhaustive=exhaustive, trials=37, seed=8)
     monkeypatch.setattr("cqexp.ensemble.DECODE_CHUNK_BYTES", chunk_bytes)
-    weights, pes = _decode_ensemble(ch, 4, 4, exhaustive=False, trials=37, seed=8)
+    weights, pes = _decode_ensemble(ch, m, n, exhaustive=exhaustive, trials=37, seed=8)
     assert np.array_equal(weights, default[0])
     assert np.array_equal(pes, default[1])
+
+
+def test_ensemble_runs_build_no_codebook(monkeypatch):
+    ch = pauli_channel(0.95)
+    want = (run_ensemble(ch, 2, 2, exhaustive=True, gamma=4.0).to_json_dict(),
+            run_ensemble(ch, 3, 2, trials=20, seed=3).to_json_dict(),
+            verify_markov_bound(ch, 2, 2, 2.0, 4.0))
+
+    def no_codebook(**_):
+        raise AssertionError("a Codebook was built")
+
+    monkeypatch.setattr("cqexp.ensemble.Codebook", no_codebook)
+    assert (run_ensemble(ch, 2, 2, exhaustive=True, gamma=4.0).to_json_dict(),
+            run_ensemble(ch, 3, 2, trials=20, seed=3).to_json_dict(),
+            verify_markov_bound(ch, 2, 2, 2.0, 4.0)) == want
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_one_codebook_memory_cap(monkeypatch, exhaustive):
+    real = pauli_channel(0.95)  # every letter is real: 8-byte entries
+    complex_ch = random_channel(np.random.default_rng(3), 2, 2)  # 16-byte entries
+    monkeypatch.setattr("cqexp.ensemble.BOOK_BYTES_CAP", 2 * 4 ** 2 * 8)  # M=2, n=2, real
+    _decode_ensemble(real, 2, 2, exhaustive=exhaustive, trials=3)  # exactly at the cap
+
+    def no_draw(*_, **__):
+        raise AssertionError("codebooks were drawn or enumerated")
+
+    monkeypatch.setattr("cqexp.ensemble._codeword_chunks", no_draw)
+    for ch, m in ((real, 3), (complex_ch, 2)):
+        with pytest.raises(ValueError, match="over the cap 256"):
+            _decode_ensemble(ch, m, 2, exhaustive=exhaustive, trials=3)
+        with pytest.raises(ValueError, match="over the cap"):
+            run_ensemble(ch, m, 2, exhaustive=exhaustive, trials=None if exhaustive else 3)
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (4, 6), (16, 3)])
