@@ -8,9 +8,14 @@ the tilted-moment bound built from pairwise overlaps, and the Markov-type
 quantile bound, reporting each as a PASS/FAIL verdict with explicit slack:
 zero (1e-12) in exhaustive mode, three standard errors in Monte-Carlo mode.
 
+The error of a codebook is the same on its orbit under message and position
+permutations, and a constant column is a common tensor factor, so the decoder
+decodes one member of each orbit, on its L varying columns at dimension d**L
+(one column, error 1 - 1/M, when none varies), and scatters the value back.
+
 Caps: product-state dimension d**n <= 4096, exhaustive enumeration
-|X|**(M n) <= 2**20, and product states of at most 2**30 bytes per decoded
-codebook and 256 KiB per decoded chunk.
+|X|**(M n) <= 2**20, product states of at most 2**30 bytes per codebook at
+dimension d**n, and 256 KiB of product states (or codewords) per chunk.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .qlinalg import DensityOperator, DIM_CAP, _eigh, _reject_drift, hermitian_e
 
 ENUM_CAP = 2 ** 20
 BOOK_BYTES_CAP = 2 ** 30  # product states of one decoded codebook, M D^2 itemsize
-DECODE_CHUNK_BYTES = 2 ** 18  # product states held at once by the decoder (one codebook at least)
+DECODE_CHUNK_BYTES = 2 ** 18  # product states, or codewords, held at once (one codebook at least)
 SUPPORT_TOL = 1e-10  # eigenvalues of the state sum below this are not inverted
 EXACT_SLACK = 1e-12
 MC_SIGMAS = 3.0
@@ -275,11 +280,31 @@ def _pgm_errors(states: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - hits, 0.0, 1.0).mean(axis=1)
 
 
+def _orbit_members(words: np.ndarray) -> np.ndarray:
+    """One member of each (M, n) codebook's orbit under message and position permutations,
+    in a (B, M, n) stack: constant columns set to -1 and sorted first (an all-constant book
+    keeps its lowest-symbol column), after alternating stable sorts of the columns and the
+    rows, each keyed first by its sorted entries, which the other sort cannot change."""
+    const = (words == words[:, :1]).all(axis=1)
+    lone = const.all(axis=1)
+    const[lone, words[lone, 0].argmin(axis=1)] = False
+    words = np.where(const[:, None, :], -1, words)
+    for _ in range(2):  # a third round shared no further codebook on the measured ensembles
+        for lines, entries in ((2, 1), (1, 2)):  # columns, then rows
+            keys = np.concatenate([np.flip(words, entries),
+                                   np.flip(np.sort(words, axis=entries), entries)], axis=entries)
+            order = np.lexsort(np.moveaxis(keys, entries, 0), axis=-1)
+            words = np.take_along_axis(words, np.expand_dims(order, entries), axis=lines)
+    return words
+
+
 def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = True,
                      trials: int | None = None, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Decode each enumerated (or drawn) codebook once, in chunks of at most
-    DECODE_CHUNK_BYTES of product states built from the validated letters (real
-    when every letter is); return codebook probabilities and average errors."""
+    """Decode each enumerated (or drawn) codebook; return codebook probabilities and
+    average errors.  P_e is the same on a codebook's whole orbit, so each distinct
+    _orbit_members representative is decoded once, on its L varying columns at dimension
+    d**L, in chunks of at most DECODE_CHUNK_BYTES of product states built from the
+    validated letters (real when every letter is), and its value scattered back."""
     if not exhaustive and (trials is None or trials < 1):
         raise ValueError("Monte-Carlo mode needs trials >= 1 (or pass exhaustive=True)")
     _check_book(channel, m, n)
@@ -290,17 +315,29 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     if book_bytes > BOOK_BYTES_CAP:
         raise ValueError(f"the {m} product states of one codebook take {book_bytes} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
-    chunk = max(1, DECODE_CHUNK_BYTES // book_bytes)
     seeds = None if exhaustive else np.random.SeedSequence(seed).generate_state(trials).tolist()
-    weights, pes = [], []
-    for words, weight in _codeword_chunks(channel, m, n, chunk, seeds):
-        states = letters[words[..., 0]]
-        for col in range(1, n):  # Kronecker chain, left to right as in product_state
-            outer = states[..., :, None, :, None] * letters[words[..., col]][..., None, :, None, :]
-            states = outer.reshape(*outer.shape[:2], outer.shape[2] * outer.shape[3], -1)
-        pes.append(_pgm_errors(states))
+    reps, orbits, weights = {}, [], []  # representative bytes -> orbit index
+    for words, weight in _codeword_chunks(channel, m, n, max(1, DECODE_CHUNK_BYTES // (m * n * 8)),
+                                          seeds):
+        flat = _orbit_members(words).reshape(len(words), -1)
+        orbits.append(np.array([reps.setdefault(member, len(reps))
+                                for member in flat.view(f"V{m * n * 8}").ravel().tolist()]))
         weights.append(weight)
-    return np.concatenate(weights), np.concatenate(pes)
+    members = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n)
+    widths = (members[:, 0] >= 0).sum(axis=1)
+    pes = np.empty(len(reps))
+    for width in set(widths.tolist()):  # not np.unique, whose first call imports numpy.ma
+        todo = np.flatnonzero(widths == width)
+        step = max(1, DECODE_CHUNK_BYTES // (m * channel.dim ** (2 * width) * letters.itemsize))
+        for part in np.split(todo, range(step, len(todo), step)):
+            words = members[part, :, n - width:]
+            states = letters[words[..., 0]]
+            for col in range(1, width):  # Kronecker chain, left to right as in product_state
+                right = letters[words[..., col]][..., None, :, None, :]
+                outer = states[..., :, None, :, None] * right
+                states = outer.reshape(*outer.shape[:2], outer.shape[2] * outer.shape[3], -1)
+            pes[part] = _pgm_errors(states)
+    return np.concatenate(weights), pes[np.concatenate(orbits)]
 
 
 def _rc_mean_bound(channel: CQChannel, m: int, n: int) -> float:

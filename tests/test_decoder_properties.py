@@ -1,5 +1,6 @@
 """Invariances of the square-root-measurement error under codebook and
-channel symmetries, and the Helstrom lower bound for two codewords, checked
+channel symmetries (the orbit decoder relies on the message, column and
+constant-column ones), and the Helstrom lower bound for two codewords, checked
 through the public slow path (product_state -> pgm_povm -> error_probability)
 on random qubit channels."""
 
@@ -44,6 +45,13 @@ def test_permuting_columns_keeps_the_error(case, data):
     channel, words = case
     perm = data.draw(st.permutations(range(words.shape[1])))
     assert abs(average_error(channel, words[:, perm]) - average_error(channel, words)) <= TOL
+
+
+@given(channels_and_codebooks(), st.data())
+def test_permuting_messages_keeps_the_error(case, data):
+    channel, words = case
+    perm = data.draw(st.permutations(range(words.shape[0])))
+    assert abs(average_error(channel, words[perm]) - average_error(channel, words)) <= TOL
 
 
 @given(channels_and_codebooks(), st.data())
