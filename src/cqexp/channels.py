@@ -46,6 +46,9 @@ class InputDistribution:
         p = np.asarray(self.probabilities, dtype=float).ravel()
         if p.size == 0:
             raise ValueError("input distribution must have at least one symbol")
+        bad = p[~np.isfinite(p)]
+        if bad.size:
+            raise ValueError(f"input distribution has an entry that is not finite: {bad[0]}")
         if not float(p.min()) >= -DIST_TOL:
             raise ValueError(f"input distribution has a negative entry: {float(p.min()):.3e}")
         p = np.where(p < 0.0, 0.0, p)
@@ -144,6 +147,8 @@ class PauliChannelParams:
     def __post_init__(self):
         if not 0.5 <= self.mu <= 1.0:
             raise ValueError(f"purity mu must lie in [0.5, 1], got {self.mu}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"Bloch angle theta must be finite, got {self.theta}")
 
     @property
     def bloch_length(self) -> float:

@@ -130,10 +130,15 @@ def ex_function(channel: CQChannel, r):
     """
     x = np.asarray(r, dtype=float)
     _refuse_outside(r, x, (0.0 < x) & (x < math.inf), "Ex order must be positive and finite")
-    q, g = channel.q.probabilities, channel.overlap_gram
-    # one 2-D product per order (0**t == 0, t > 0): a stacked contraction sums in another
-    # order, and a scalar exponent keeps numpy's sqrt shortcut at r = 2
-    out = np.array([-v * np.log2((q @ g ** (1.0 / v)) @ q) for v in x.ravel().tolist()])
+    q, g, v = channel.q.probabilities, channel.overlap_gram, x.ravel()
+    # every order in one stack, bit-equal to its own (q @ g ** t) @ q with t = 1/r (0**t == 0):
+    # one pow exponent per entry, never a broadcast scalar; t = 0.5 and 2 take the sqrt and
+    # square that scalar ** takes; the stacked matmuls make one gemv and one dot per order
+    t = 1.0 / v
+    p = np.repeat(t, g.size).reshape(-1, *g.shape)
+    np.power(g, p, out=p)
+    p[t == 0.5], p[t == 2.0] = np.sqrt(g), np.square(g)
+    out = -v * np.log2(np.matmul(np.matmul(q, p)[:, None, :], q)[:, 0])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
@@ -291,10 +296,9 @@ def optimal_tilt_estimate(channel: CQChannel, num_messages: int, block_length: i
     half-variance of the log-overlap is infinite or zero, +inf when the
     denominator vanishes (M = 1 with gamma = 1).
     """
-    if num_messages < 1:
-        raise ValueError(f"need at least one message, got {num_messages}")
-    if block_length < 1:
-        raise ValueError(f"block length must be positive, got {block_length}")
+    for what, count in (("message count", num_messages), ("block length", block_length)):
+        if not (1 <= count < math.inf and count == math.floor(count)):
+            raise ValueError(f"{what} must be a positive integer, got {count}")
     _check_gamma(gamma)
     halfvar = overlap_exponent_half_var(channel)
     if math.isinf(halfvar) or halfvar <= 0.0:

@@ -12,6 +12,7 @@ whole package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -152,8 +153,8 @@ def matrix_power(rho, p: float) -> np.ndarray:
     Accepts a DensityOperator (cached spectrum reused) or any PSD Hermitian
     array.  Zero eigenvalues stay zero: the power acts on the support only.
     """
-    if not p > 0:
-        raise ValueError(f"matrix power expects p > 0, got {p}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"matrix power expects a finite p > 0, got {p}")
     if isinstance(rho, DensityOperator):
         spec = rho.spectrum
     else:

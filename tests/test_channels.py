@@ -38,8 +38,8 @@ def test_input_distribution_validation():
 
 
 def test_non_finite_distributions_are_rejected():
-    for q in ([math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.0]):
-        with pytest.raises(ValueError):
+    for q in ([math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.0], [1.0, -math.inf]):
+        with pytest.raises(ValueError, match="not finite"):
             InputDistribution(q)
     with pytest.raises(ValueError):
         from_classical_dmc([[math.nan, 1.0], [0.5, 0.5]], [0.5, 0.5])
@@ -104,6 +104,12 @@ def test_pauli_params_range():
     with pytest.raises(ValueError, match="purity"):
         PauliChannelParams(mu=1.1, theta=0.0)
     assert PauliChannelParams(mu=0.95, theta=0.0).bloch_length == pytest.approx(math.sqrt(0.9))
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_pauli_params_refuse_a_non_finite_angle(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        PauliChannelParams(mu=0.95, theta=theta)
 
 
 def test_binary_pauli_eigenvalues():

@@ -380,6 +380,20 @@ def test_state_that_is_not_psd_exits_1(tmp_path, capsys, command):
     assert "state 0" in err and "not positive semidefinite" in err
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({**PAULI_DOC, "theta": math.inf}, "Bloch angle theta must be finite, got inf"),
+    ({**PAULI_DOC, "theta": math.nan}, "Bloch angle theta must be finite, got nan"),
+    ({**PAULI_DOC, "q": [math.nan, 0.5]}, "input distribution has an entry that is not finite: nan"),
+    ({"kind": "classical", "w": [[0.9, 0.1], [0.1, 0.9]], "q": [0.5, math.inf]},
+     "input distribution has an entry that is not finite: inf"),
+], ids=["theta-inf", "theta-nan", "q-nan", "q-inf"])
+def test_validate_names_a_non_finite_channel_field(tmp_path, capsys, doc, named):
+    assert cli.main(["validate", "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid channel config: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_unknown_kind(tmp_path, capsys):
     cfg = write_config(tmp_path, {"kind": "telepathy"})
     assert cli.main(["thresholds", "--config", cfg]) == 1

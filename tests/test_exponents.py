@@ -425,6 +425,14 @@ def test_optimal_tilt_estimate_edge_cases():
         optimal_tilt_estimate(ch, 4, 8, 0.5)
 
 
+@pytest.mark.parametrize("m, n", [(math.nan, 8), (math.inf, 8), (2.5, 8), (4, math.inf),
+                                  (4, math.nan), (4, 7.5)],
+                         ids=["m-nan", "m-inf", "m-fraction", "n-inf", "n-nan", "n-fraction"])
+def test_optimal_tilt_estimate_refuses_bad_sizes(m, n):
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        optimal_tilt_estimate(pauli_channel(0.95), m, n, 2.0)
+
+
 def test_channel_thresholds_invariants():
     for ch in (pauli_channel(0.95), pauli_channel(0.7), orthogonal_channel()):
         th = channel_thresholds(ch)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import cqexp.exponents
 from cqexp import (
+    CQChannel,
     channel_from_config,
     e0,
     ex_function,
@@ -149,7 +150,10 @@ def test_empty_interval_is_refused():
 base_function_channels = pytest.mark.parametrize("channel", [
     pauli_channel(0.95), pauli_channel(1.0, 0.0),
     random_channel(np.random.default_rng(3), 3, 3), random_channel(np.random.default_rng(4), 8, 4),
-], ids=["pauli095", "orthogonal", "random3x3", "random8x4"])
+    # numpy's array pow rounds g**2 (6x4) and g**0.5 (8x2) off the square and sqrt that
+    # scalar ** takes, and here that moves Ex at r = 0.5 and r = 2
+    random_channel(np.random.default_rng(10), 6, 4), random_channel(np.random.default_rng(0), 8, 2),
+], ids=["pauli095", "orthogonal", "random3x3", "random8x4", "random6x4", "random8x2"])
 
 
 @base_function_channels
@@ -173,20 +177,45 @@ def test_one_bad_tilt_in_an_array_raises_like_the_scalar_call(bad):
     assert str(batched.value) == str(scalar.value)
 
 
-@base_function_channels
-def test_batched_ex_equals_scalar_ex_lane_by_lane(channel):
-    r = np.concatenate([cqexp.exponents._R_GRID,
-                        10.0 ** np.random.default_rng(9).uniform(-1.0, 4.0, 40),
-                        [1.0, 2.0, 4.0, 1e4]])
+def ex_orders(rng, extra=()) -> np.ndarray:
+    """The r grid, the orders where scalar ** takes numpy's square (0.5) and sqrt (2)
+    shortcuts, and random orders in [0.1, 1e4]."""
+    return np.concatenate([cqexp.exponents._R_GRID, [0.5, 1.0, 2.0, 4.0, 1e4],
+                           10.0 ** rng.uniform(-1.0, 4.0, 40), extra])
+
+
+def assert_ex_is_the_per_order_formula(channel, r):
     got = ex_function(channel, r)
     assert got.shape == r.shape
     assert np.array_equal(got, [ex_function(channel, x) for x in r.tolist()])
     q, g = channel.q.probabilities, channel.overlap_gram
-    assert np.array_equal(got, [-x * np.log2((q @ g ** (1.0 / x)) @ q) for x in r.tolist()])
-    for shape in [(7, 43), (43, 1, 7)]:
+    want = [-x * np.log2((q @ g ** (1.0 / x)) @ q) for x in r.tolist()]
+    bad = got != np.array(want)
+    assert not bad.any(), (r[bad].tolist(), got[bad].tolist(), np.array(want)[bad].tolist())
+    return got
+
+
+@base_function_channels
+def test_batched_ex_equals_scalar_ex_lane_by_lane(channel):
+    r = ex_orders(np.random.default_rng(9))
+    got = assert_ex_is_the_per_order_formula(channel, r)
+    for shape in [(2, 151), (151, 1, 2)]:
         assert np.array_equal(ex_function(channel, r.reshape(shape)), got.reshape(shape))
     assert isinstance(ex_function(channel, 2.0), float)
     assert ex_function(channel, np.array([])).shape == (0,)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(1, 4), st.integers(-1, 7),
+       st.lists(st.floats(0.1, 1e4), max_size=8))
+def test_batched_ex_is_the_per_order_formula_on_random_channels(seed, k, d, zero, orders):
+    rng = np.random.default_rng(seed)
+    channel = random_channel(rng, k, d)
+    if k > 1 and 0 <= zero < k:  # a zero-probability letter
+        q = channel.q.probabilities.copy()
+        q[zero] = 0.0
+        channel = CQChannel(channel.states, q / q.sum())
+    assert_ex_is_the_per_order_formula(channel, ex_orders(rng, orders))
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])

@@ -159,6 +159,12 @@ def test_matrix_power_rejects_nonpositive_exponent():
         matrix_power(rho, -1.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_matrix_power_rejects_non_finite_exponent(p):
+    with pytest.raises(ValueError, match="finite p > 0"):
+        matrix_power(DensityOperator(np.diag([0.9, 0.1])), p)
+
+
 def test_overlap_extremes():
     zero = DensityOperator.from_pure([1.0, 0.0])
     one = DensityOperator.from_pure([0.0, 1.0])
