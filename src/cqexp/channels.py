@@ -181,6 +181,9 @@ def from_classical_dmc(w, q) -> CQChannel:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"transition matrix must be 2-d, got shape {w.shape}")
+    bad = w[~np.isfinite(w)]
+    if bad.size:
+        raise ValueError(f"transition matrix has an entry that is not finite: {bad[0]}")
     if not float(w.min()) >= 0.0:
         raise ValueError(f"transition matrix has a negative entry: {float(w.min()):.3e}")
     rows = w.sum(axis=1)
@@ -269,7 +272,26 @@ def optimize_input(channel: CQChannel) -> tuple[InputDistribution, float]:
 # {"kind": "generic",   "states": [{"re": [[...]], "im": [[...]]}, ...], "q": [...]}
 #
 # For every kind "q" may be omitted or null for the uniform distribution.
-# theta defaults to pi/6.
+# theta defaults to pi/6.  Every number must be a JSON number (see _numbers).
+
+
+def _numbers(value, ndim: int = 1, name: str = "value"):
+    """A JSON number (ndim 0), list of numbers (1) or list of such lists (2), as floats
+    nested alike; booleans, strings, null, objects and any other nesting are refused
+    under the given name.  The one rule for numbers in channel configs and run documents."""
+    def walk(v, depth):
+        if depth:
+            if not isinstance(v, list):
+                raise TypeError
+            return [walk(x, depth - 1) for x in v]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise TypeError
+        return float(v)  # OverflowError for an integer beyond the float range
+    try:
+        return walk(value, ndim)
+    except (TypeError, OverflowError):
+        kind = ("a number", "a list of numbers", "a list of lists of numbers")[ndim]
+        raise ValueError(f"{name} must be {kind}, got {value!r}") from None
 
 
 def channel_from_config(doc: dict) -> CQChannel:
@@ -277,13 +299,15 @@ def channel_from_config(doc: dict) -> CQChannel:
     if not isinstance(doc, dict):
         raise ValueError("channel config must be a JSON object")
     kind = doc.get("kind")
+    q = None if doc.get("q") is None else _numbers(doc["q"], 1, "'q'")
     if kind == "pauli":
         params = PauliChannelParams(
-            mu=float(doc["mu"]), theta=float(doc.get("theta", math.pi / 6))
+            mu=_numbers(doc["mu"], 0, "'mu'"),
+            theta=_numbers(doc.get("theta", math.pi / 6), 0, "'theta'"),
         )
-        return binary_pauli(params, doc.get("q"))
+        return binary_pauli(params, q)
     if kind == "classical":
-        return from_classical_dmc(doc["w"], doc.get("q"))
+        return from_classical_dmc(_numbers(doc["w"], 2, "'w'"), q)
     if kind == "generic":
         raw = doc.get("states")
         if not raw:
@@ -292,14 +316,14 @@ def channel_from_config(doc: dict) -> CQChannel:
         states = []
         for i, entry in enumerate(raw):
             try:
-                re = np.asarray(entry["re"], dtype=float)
-                im = np.asarray(entry.get("im", np.zeros_like(re)), dtype=float)
+                re = np.asarray(_numbers(entry["re"], 2, "'re'"))
+                im = np.asarray(_numbers(entry["im"], 2, "'im'")) if "im" in entry else 0.0
                 states.append(DensityOperator(re + 1j * im))
             except (ValueError, KeyError, TypeError) as exc:
                 problems.append(f"state {i}: {exc}")
         if problems:
             raise ChannelValidationError(problems)
-        return CQChannel(tuple(states), doc.get("q"))
+        return CQChannel(tuple(states), q)
     raise ValueError(f"unknown channel kind {kind!r} (expected pauli, classical, or generic)")
 
 

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .channels import channel_from_config
+from .channels import _numbers, channel_from_config
 from .ensemble import _json_real, run_ensemble
 from .exponents import (
     channel_thresholds,
@@ -84,13 +84,6 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _numbers(value) -> tuple[float, ...]:
-    """A JSON list of numbers as floats; booleans, strings and non-lists are refused."""
-    if not isinstance(value, list) or any(isinstance(t, (bool, str)) for t in value):
-        raise ValueError(f"not a list of numbers: {value!r}")
-    return tuple(float(t) for t in value)
-
-
 def _grid_from_parts(lo: float, hi: float, count: int) -> np.ndarray:
     if not 0 <= lo < math.inf:
         raise ValueError(f"grid min must be finite and nonnegative, got {lo}")
@@ -114,10 +107,7 @@ def _rates(args, run: dict) -> np.ndarray:
     if args.grid is not None:
         return _parse_grid_flag(args.grid)
     if "rates" in run:
-        try:
-            return np.asarray(_numbers(run["rates"]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"config 'rates' must be a list of numbers: {exc}") from exc
+        return np.asarray(_numbers(run["rates"], 1, "config 'rates'"))
     if "grid" in run:
         g = run["grid"]
         try:
@@ -212,7 +202,7 @@ def cmd_simulate(args) -> int:
     r_flag = None if args.r_list is None else [
         _param({}, "r_list", t, convert=float) for t in args.r_list.split(",")]
     r_list = _param(run, "r_list", r_flag, convert=_numbers)
-    gamma = _param(run, "gamma", args.gamma, convert=lambda v: _numbers([v])[0])
+    gamma = _param(run, "gamma", args.gamma, convert=lambda v: _numbers(v, 0))
 
     report = run_ensemble(channel, m, n, trials=trials, exhaustive=exhaustive,
                           r_list=(1.0, 2.0, 4.0) if r_list is None else r_list,

@@ -359,14 +359,12 @@ def _tilted_bound(channel: CQChannel, m: int, n: int, r: float) -> float:
     return float(m ** (1.0 - 1.0 / r) * (m - 1) * z ** n)
 
 
-def _markov_check(weights: np.ndarray, pes: np.ndarray, r: float,
-                  gamma: float) -> MarkovCheck:
-    """P[P_e >= gamma^r E[P_e^(1/r)]^r] against 1/gamma over exact weights."""
-    tilted_mean = float(weights @ pes ** (1.0 / r))
-    threshold = gamma ** r * tilted_mean ** r
-    lhs = float(weights[pes >= threshold].sum())
-    bound = 1.0 / gamma
-    return MarkovCheck(lhs_probability=lhs, bound=bound, passed=lhs <= bound + EXACT_SLACK)
+def _power(base: float, r: float) -> float:
+    """base ** r for base >= 0, +inf where the float power overflows."""
+    try:
+        return base ** r
+    except OverflowError:
+        return math.inf
 
 
 def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = None,
@@ -380,7 +378,9 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
     Monte-Carlo mode draws ``trials`` codebooks (one sub-seed per trial
     derived from ``seed``) and verdicts allow three standard errors.
     With ``gamma`` (exhaustive mode only) the report also carries, for each r,
-    verify_markov_bound's check computed from the same decoded ensemble.
+    the exact quantile check P[P_e >= (gamma E[P_e^(1/r)])^r] against 1/gamma.
+    A bound or threshold whose r-th power overflows a float is +inf; a threshold
+    that underflows is the least positive float.
     """
     r_list = tuple(float(r) for r in r_list)
     if not all(1.0 <= r < math.inf for r in r_list):
@@ -409,11 +409,16 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
         return mean, BoundCheck(name, bound, empirical, slack, verdict)
 
     mean_pe, mean_check = check("mean_error_bound", _rc_mean_bound(channel, m, n), 1.0)
-    checks, tilted_means = [mean_check], {}
+    checks, tilted_means, markov_checks = [mean_check], {}, []
     for r in r_list:
         tilted_means[r], tilted_check = check(
-            f"tilted_mean_bound_r{r:g}", _tilted_bound(channel, m, n, r) ** r, r)
+            f"tilted_mean_bound_r{r:g}", _power(_tilted_bound(channel, m, n, r), r), r)
         checks.append(tilted_check)
+        if gamma is not None:  # (gamma T)^r > 0: a book of M equal words has P_e = 1 - 1/M
+            threshold = _power(gamma * tilted_means[r], r) or math.ulp(0.0)
+            lhs = float(weights[pes >= threshold].sum())
+            markov_checks.append((r, MarkovCheck(lhs, 1.0 / gamma,
+                                                 lhs <= 1.0 / gamma + EXACT_SLACK)))
 
     samples = tuple(-math.log2(p) / n if p > 0.0 else math.inf for p in pes)
     return EnsembleReport(
@@ -427,21 +432,13 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
         exponent_samples=samples,
         bound_checks=tuple(checks),
         gamma=gamma,
-        markov_checks=tuple((r, _markov_check(weights, pes, r, gamma))
-                            for r in r_list) if gamma is not None else (),
+        markov_checks=tuple(markov_checks),
     )
 
 
 def verify_markov_bound(channel: CQChannel, m: int, n: int, r: float,
                         gamma: float) -> MarkovCheck:
-    """Exact check of P[P_e >= gamma^r E[P_e^(1/r)]^r] <= 1/gamma.
-
-    Both sides are computed exactly over the full codebook ensemble, so the
-    comparison carries zero statistical slack (1e-12 for roundoff only).
-    run_ensemble(..., gamma=gamma) gives it for a list of r from one decoding.
-    """
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"tilt order must be positive and finite, got {r}")
-    _check_gamma(gamma)
-    weights, pes = _decode_ensemble(channel, m, n)
-    return _markov_check(weights, pes, r, gamma)
+    """Exact check of P[P_e >= (gamma E[P_e^(1/r)])^r] <= 1/gamma for one order r >= 1:
+    run_ensemble's exhaustive check with r_list=(r,)."""
+    return run_ensemble(channel, m, n, exhaustive=True, r_list=(r,),
+                        gamma=gamma).markov_checks[0][1]

@@ -292,6 +292,20 @@ def test_simulate_json_number_gamma_and_r_list(tmp_path):
     assert {c["gamma"] for c in report["markov_checks"]} == {16.0}
 
 
+def test_simulate_powers_that_overflow_saturate(tmp_path, capsys):
+    # gamma^2 and T^(1e308) overflow a float: the threshold and the bound are +inf
+    cfg = str(ROOT / "configs" / "pauli_mu095.json")
+    out = tmp_path / "report.json"
+    assert cli.main(["simulate", "--config", cfg, "--m", "2", "--n", "2", "--exhaustive",
+                     "--gamma", "1e200", "--r-list", "1e308,2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    tilted = {c["name"]: c for c in report["bound_checks"]}["tilted_mean_bound_r1e+308"]
+    assert tilted["bound"] == "inf" and tilted["verdict"] == "PASS"
+    assert [(c["lhs_probability"], c["verdict"]) for c in report["markov_checks"]] == [
+        (0.0, "PASS"), (0.0, "PASS")]
+
+
 def test_simulate_products_of_states_within_trace_tolerance(tmp_path, capsys):
     # each state's trace is within 1e-9 of 1, but a product's trace is not
     doc = {"kind": "generic", "states": [{"re": [[0.9000000009, 0], [0, 0.1]]},
@@ -386,12 +400,36 @@ def test_state_that_is_not_psd_exits_1(tmp_path, capsys, command):
     ({**PAULI_DOC, "q": [math.nan, 0.5]}, "input distribution has an entry that is not finite: nan"),
     ({"kind": "classical", "w": [[0.9, 0.1], [0.1, 0.9]], "q": [0.5, math.inf]},
      "input distribution has an entry that is not finite: inf"),
-], ids=["theta-inf", "theta-nan", "q-nan", "q-inf"])
+    ({"kind": "classical", "w": [[0.9, 0.1], [math.nan, 0.9]]},
+     "transition matrix has an entry that is not finite: nan"),
+    ({"kind": "classical", "w": [[0.9, 0.1], [math.inf, 0.9]]},
+     "transition matrix has an entry that is not finite: inf"),
+], ids=["theta-inf", "theta-nan", "q-nan", "q-inf", "w-nan", "w-inf"])
 def test_validate_names_a_non_finite_channel_field(tmp_path, capsys, doc, named):
     assert cli.main(["validate", "--config", write_config(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid channel config: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"kind": "pauli", "mu": True}, "'mu' must be a number, got True"),
+    ({"kind": "pauli", "mu": "0.95"}, "'mu' must be a number, got '0.95'"),
+    ({"kind": "pauli", "mu": 10 ** 400}, "'mu' must be a number"),
+    ({**PAULI_DOC, "theta": "0.5"}, "'theta' must be a number, got '0.5'"),
+    ({"kind": "classical", "w": [[True, False], [False, True]]}, "'w' must be a list of lists"),
+    ({"kind": "classical", "w": [["0.9", "0.1"], ["0.1", "0.9"]]}, "'w' must be a list of lists"),
+    ({**PAULI_DOC, "q": [True, False]}, "'q' must be a list of numbers, got [True, False]"),
+    ({"kind": "generic", "states": [{"re": [[True, 0], [0, False]]}]},
+     "state 0: 're' must be a list of lists"),
+], ids=["mu-bool", "mu-str", "mu-huge-int", "theta-str", "w-bool", "w-str", "q-bool",
+        "re-bool"])
+def test_validate_refuses_a_channel_number_that_is_not_a_json_number(tmp_path, capsys, doc,
+                                                                      field):
+    assert cli.main(["validate", "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid channel config: ") and err.count("\n") == 1
+    assert field in err
 
 
 def test_unknown_kind(tmp_path, capsys):

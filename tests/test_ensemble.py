@@ -634,7 +634,7 @@ def test_markov_bound_gamma_one_trivial():
 
 def test_markov_bound_validation():
     ch = pauli_channel(0.9)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=">= 1"):
         verify_markov_bound(ch, 2, 2, 0.0, 2.0)
     with pytest.raises(ValueError, match="at least 1"):
         verify_markov_bound(ch, 2, 2, 1.0, 0.5)
@@ -653,6 +653,49 @@ def test_run_ensemble_markov_checks_match_verify_markov_bound(ch, m, n):
     with_gamma = report.to_json_dict()
     assert [c["r"] for c in with_gamma.pop("markov_checks")] == list(r_list)
     assert with_gamma == run_ensemble(ch, m, n, exhaustive=True, r_list=r_list).to_json_dict()
+
+
+def _brute_force_quantile_mass(ch, m, n, r, gamma):
+    """P[P_e >= (gamma E[P_e^(1/r)])^r] from every codebook of product_codebooks, decoded
+    one by one with product_state, pgm_povm and error_probability, compared in logs so
+    that no power overflows or underflows."""
+    books = [(prob, error_probability(ch, book, pgm_povm(
+        [product_state(ch, w) for w in book.codewords])).average_error)
+        for book, prob in product_codebooks(ch, m, n)]
+    tilted = math.fsum(prob * pe ** (1.0 / r) for prob, pe in books)
+    log_threshold = r * math.log(gamma * tilted)
+    return math.fsum(prob for prob, pe in books if pe > 0.0 and math.log(pe) >= log_threshold)
+
+
+@pytest.mark.parametrize("ch, m, n, r_list, gamma, want", [
+    (pauli_channel(0.95), 2, 2, (1.0, 2.0), 1.5, (0.25, 0.25)),
+    (from_classical_dmc([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5]), 3, 2, (1.0,), 1.5, (0.0625,)),
+    (random_channel(np.random.default_rng(4), 3, 2), 2, 2, (1.0, 2.0), 1.5, (0.284, 0.1448)),
+    # P_e is 1/2, or an ulp above: at gamma = 1, r = 1 the threshold is their mean, 1/2,
+    # and the books at exactly 1/2 count
+    (identical_channel(), 2, 2, (1.0,), 1.0, (1.0,)),
+    # P_e is 0 or 1/2; (gamma T)^r underflows, but P_e = 0 stays below it
+    (orthogonal_channel(), 2, 1, (1e4,), 1.5, (0.5,)),
+], ids=["pauli", "bsc", "random", "identical-equality", "orthogonal-underflow"])
+def test_quantile_mass_equals_the_brute_force_oracle(ch, m, n, r_list, gamma, want):
+    report = run_ensemble(ch, m, n, exhaustive=True, r_list=r_list, gamma=gamma)
+    for (r, check), approx in zip(report.markov_checks, want):
+        oracle = _brute_force_quantile_mass(ch, m, n, r, gamma)
+        assert abs(check.lhs_probability - oracle) <= 1e-12
+        assert check.lhs_probability == pytest.approx(approx, abs=5e-4)
+
+
+def test_markov_threshold_is_one_power_of_gamma_times_the_tilted_mean():
+    # gamma^r alone overflows a float, (gamma T)^r does not: P_e is 0 or 1/2, T < 1/2
+    ch, r, gamma = orthogonal_channel(), 2000.0, 1.5
+    with pytest.raises(OverflowError):
+        gamma ** r
+    report = run_ensemble(ch, 2, 1, exhaustive=True, r_list=(r,), gamma=gamma)
+    assert report.markov_checks == ((r, MarkovCheck(0.5, 1.0 / gamma, True)),)
+    # (gamma T)^r itself overflows: the threshold is +inf and no codebook reaches it
+    (_, check), = run_ensemble(ch, 2, 1, exhaustive=True, r_list=(2.0,),
+                               gamma=1e200).markov_checks
+    assert check == MarkovCheck(0.0, 1e-200, True)
 
 
 def test_report_all_passed_covers_markov_checks():

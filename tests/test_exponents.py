@@ -282,7 +282,7 @@ def test_sweep_structure_and_validation():
     (lambda ch: expurgated_exponent(ch, math.nan), "nonnegative"),
     (lambda ch: trc_lower_bound(ch, math.nan), "nonnegative"),
     (lambda ch: optimal_tilt_estimate(ch, 4, 8, math.nan), "at least 1"),
-    (lambda ch: verify_markov_bound(ch, 2, 2, math.inf, 2.0), "positive"),
+    (lambda ch: verify_markov_bound(ch, 2, 2, math.inf, 2.0), "finite and >= 1"),
 ], ids=["e0-inf", "e0-nan", "ex-inf", "ex-nan", "er-nan", "er-inf", "eex-nan", "trc-nan",
         "tilt-gamma-nan", "markov-r-inf"])
 def test_single_point_functions_reject_non_finite(call, match):
