@@ -57,7 +57,6 @@ from .ensemble import (
     Codebook,
     DecodingResult,
     EnsembleReport,
-    MarkovCheck,
     enumerate_codebooks,
     error_probability,
     helstrom_error,
@@ -82,7 +81,6 @@ __all__ = [
     "ExponentCurve",
     "ExponentValue",
     "InputDistribution",
-    "MarkovCheck",
     "PauliChannelParams",
     "RatePoint",
     "Spectrum",

@@ -272,7 +272,8 @@ def optimize_input(channel: CQChannel) -> tuple[InputDistribution, float]:
 # {"kind": "generic",   "states": [{"re": [[...]], "im": [[...]]}, ...], "q": [...]}
 #
 # For every kind "q" may be omitted or null for the uniform distribution.
-# theta defaults to pi/6.  Every number must be a JSON number (see _numbers).
+# theta defaults to pi/6.  Every number must be a JSON number (see _numbers), and
+# any other key, in the document or in a generic state, is refused.
 
 
 def _numbers(value, ndim: int = 1, name: str = "value"):
@@ -299,6 +300,12 @@ def channel_from_config(doc: dict) -> CQChannel:
     if not isinstance(doc, dict):
         raise ValueError("channel config must be a JSON object")
     kind = doc.get("kind")
+    fields = {"pauli": {"mu", "theta"}, "classical": {"w"}, "generic": {"states"}}
+    if not isinstance(kind, str) or kind not in fields:
+        raise ValueError(f"unknown channel kind {kind!r} (expected pauli, classical, or generic)")
+    unknown = sorted(set(doc) - fields[kind] - {"kind", "q"})
+    if unknown:
+        raise ValueError(f"unknown {kind} channel keys {unknown}")
     q = None if doc.get("q") is None else _numbers(doc["q"], 1, "'q'")
     if kind == "pauli":
         params = PauliChannelParams(
@@ -308,23 +315,23 @@ def channel_from_config(doc: dict) -> CQChannel:
         return binary_pauli(params, q)
     if kind == "classical":
         return from_classical_dmc(_numbers(doc["w"], 2, "'w'"), q)
-    if kind == "generic":
-        raw = doc.get("states")
-        if not raw:
-            raise ChannelValidationError(["generic channel config needs a non-empty 'states' list"])
-        problems = []
-        states = []
-        for i, entry in enumerate(raw):
-            try:
-                re = np.asarray(_numbers(entry["re"], 2, "'re'"))
-                im = np.asarray(_numbers(entry["im"], 2, "'im'")) if "im" in entry else 0.0
-                states.append(DensityOperator(re + 1j * im))
-            except (ValueError, KeyError, TypeError) as exc:
-                problems.append(f"state {i}: {exc}")
-        if problems:
-            raise ChannelValidationError(problems)
-        return CQChannel(tuple(states), q)
-    raise ValueError(f"unknown channel kind {kind!r} (expected pauli, classical, or generic)")
+    raw = doc.get("states")
+    if not raw:
+        raise ChannelValidationError(["generic channel config needs a non-empty 'states' list"])
+    problems = []
+    states = []
+    for i, entry in enumerate(raw):
+        try:
+            if set(entry) - {"re", "im"}:
+                raise ValueError(f"unknown keys {sorted(set(entry) - {'re', 'im'})}")
+            re = np.asarray(_numbers(entry["re"], 2, "'re'"))
+            im = np.asarray(_numbers(entry["im"], 2, "'im'")) if "im" in entry else 0.0
+            states.append(DensityOperator(re + 1j * im))
+        except (ValueError, KeyError, TypeError) as exc:
+            problems.append(f"state {i}: {exc}")
+    if problems:
+        raise ChannelValidationError(problems)
+    return CQChannel(tuple(states), q)
 
 
 def channel_to_config(channel: CQChannel) -> dict:

@@ -8,11 +8,11 @@ Subcommands::
     cqexp validate   --config ch.json
 
 The config file is either a bare channel document ({"kind": ...}) or a run
-document with a "channel" key plus defaults for grid / m / n / trials /
-seed / r_list / gamma / exhaustive.  Command-line flags override config
-values.  Exit codes: 0 success, 1 a refusal (a usage error, an invalid
-configuration or value, an unwritable output; every subcommand reports it
-as one "error: ..." line on stderr), 2 a bound verdict failed.  Output is
+document with a "channel" key plus defaults for the RUN_KEYS (any other key is
+refused); the given flags are merged over them once, --grid as 'rates'.
+Exit codes: 0 success, 1 a refusal (a usage error, an invalid configuration
+or value, an unwritable output; every subcommand reports it as one
+"error: ..." line on stderr), 2 a bound verdict failed.  Output is
 deterministic: identical configs and seeds give byte-identical files.
 Infinities are written "inf".
 """
@@ -42,28 +42,26 @@ EXIT_CONFIG = 1
 EXIT_VERDICT = 2
 
 CSV_HEADER = "R,E_r,E_ex_2R_plus_R,E_trc_lb,s_opt,r_opt,divergent_flag"
+RUN_KEYS = ("grid", "rates", "m", "n", "trials", "seed", "r_list", "gamma", "exhaustive")
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            doc = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                         f"{exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return doc
 
 
 def _load_channel(args):
-    """Read --config, a bare channel document or a run document with a 'channel'
-    object; return (validated channel, run parameters)."""
+    """Read --config, a bare channel document or a run document with a 'channel' object;
+    return the validated channel and the run document with the given flags merged over it."""
     doc = _load_json(args.config)
     if "kind" in doc:
         channel_doc, run = doc, {}
@@ -71,10 +69,22 @@ def _load_channel(args):
         channel_doc, run = doc["channel"], {k: v for k, v in doc.items() if k != "channel"}
     else:
         raise ValueError("config needs either a top-level 'kind' or a 'channel' object")
+    if set(run) - set(RUN_KEYS):
+        raise ValueError(f"unknown run keys {sorted(set(run) - set(RUN_KEYS))}: a run document "
+                         f"holds 'channel' and {', '.join(RUN_KEYS)}")
     try:
-        return channel_from_config(channel_doc), run
+        channel = channel_from_config(channel_doc)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"invalid channel config: {exc}") from exc
+    flags = {k: getattr(args, k) for k in RUN_KEYS if getattr(args, k, None) is not None}
+    return channel, {**run, **flags}
+
+
+def _boolean(value) -> bool:
+    """A JSON boolean; anything else is refused."""
+    if not isinstance(value, bool):
+        raise TypeError(f"not a boolean: {value!r}")
+    return value
 
 
 def _integer(value) -> int:
@@ -94,22 +104,28 @@ def _grid_from_parts(lo: float, hi: float, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _parse_grid_flag(text: str) -> np.ndarray:
+def _grid_flag(text: str) -> list[float]:
+    """--grid min:max:count as its list of rates, parsed by argparse."""
     try:
         lo, hi, count = text.split(":")
-        parts = float(lo), float(hi), int(count)
+        return _grid_from_parts(float(lo), float(hi), int(count)).tolist()
     except ValueError as exc:
-        raise ValueError(f"--grid expects min:max:count, got {text!r}") from exc
-    return _grid_from_parts(*parts)
+        raise argparse.ArgumentTypeError(f"expects min:max:count, got {text!r}: {exc}") from exc
 
 
-def _rates(args, run: dict) -> np.ndarray:
-    if args.grid is not None:
-        return _parse_grid_flag(args.grid)
-    if "rates" in run:
+def _tilt_orders(text: str) -> list[float]:
+    """--r-list as comma-separated numbers, parsed by argparse."""
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}") from exc
+
+
+def _rates(run: dict) -> np.ndarray:
+    if run.get("rates") is not None:  # the --grid rates, or the config's, win over its 'grid'
         return np.asarray(_numbers(run["rates"], 1, "config 'rates'"))
-    if "grid" in run:
-        g = run["grid"]
+    g = run.get("grid")
+    if g is not None:
         try:
             lo, hi, count = *_numbers([g["min"], g["max"]]), _integer(g["count"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -148,9 +164,8 @@ def _json_text(doc: dict) -> str:
 
 def cmd_exponents(args) -> int:
     channel, run = _load_channel(args)
-    rates = _rates(args, run)
     lines = [CSV_HEADER]
-    for p in sweep(channel, rates):
+    for p in sweep(channel, _rates(run)):
         lines.append(",".join([
             _fmt(p.rate), _fmt(p.e_r), _fmt(p.e_ex_shifted), _fmt(p.e_trc_lb),
             _fmt(p.s_opt), _fmt(p.r_opt), str(int(p.divergent)),
@@ -174,39 +189,27 @@ def cmd_thresholds(args) -> int:
     return EXIT_OK
 
 
-def _param(run: dict, key: str, flag, convert=_integer, required: bool = False):
-    """Flag value if given, else the config value, converted; None if neither."""
-    value = flag if flag is not None else run.get(key)
-    if value is None:
-        if required:
-            raise ValueError(f"simulate needs '{key}' in the config or as a flag")
-        return None
+def _param(run: dict, key: str, convert):
+    """The run document's value for key, converted."""
     try:
-        return convert(value)
+        return convert(run[key])
     except (TypeError, ValueError, OverflowError) as exc:
-        kind = {_integer: "an integer", _numbers: "a list of numbers"}.get(convert, "numeric")
+        kind = {_integer: "an integer", _numbers: "a list of numbers",
+                _boolean: "true or false"}.get(convert, "numeric")
         raise ValueError(
-            f"'{key}' (--{key.replace('_', '-')}) must be {kind}, got {value!r}") from exc
+            f"'{key}' (--{key.replace('_', '-')}) must be {kind}, got {run[key]!r}") from exc
 
 
 def cmd_simulate(args) -> int:
+    """run_ensemble on the given run keys (null is not given), so it holds every default."""
     channel, run = _load_channel(args)
-    m = _param(run, "m", args.m, required=True)
-    n = _param(run, "n", args.n, required=True)
-    seed = _param(run, "seed", args.seed) or 0
-    trials = _param(run, "trials", args.trials)
-    exhaustive = args.exhaustive or run.get("exhaustive", False)
-    if not isinstance(exhaustive, bool):
-        raise ValueError(f"'exhaustive' must be true or false, got {exhaustive!r}")
-    # --r-list is text, so its tokens are parsed; config values must be JSON numbers
-    r_flag = None if args.r_list is None else [
-        _param({}, "r_list", t, convert=float) for t in args.r_list.split(",")]
-    r_list = _param(run, "r_list", r_flag, convert=_numbers)
-    gamma = _param(run, "gamma", args.gamma, convert=lambda v: _numbers(v, 0))
-
-    report = run_ensemble(channel, m, n, trials=trials, exhaustive=exhaustive,
-                          r_list=(1.0, 2.0, 4.0) if r_list is None else r_list,
-                          seed=seed, gamma=gamma)
+    given = {key: _param(run, key, convert) for key, convert in (
+        ("m", _integer), ("n", _integer), ("exhaustive", _boolean), ("trials", _integer),
+        ("seed", _integer), ("r_list", _numbers), ("gamma", lambda v: _numbers(v, 0)))
+        if run.get(key) is not None}
+    if {"m", "n"} - set(given):
+        raise ValueError(f"simulate needs {sorted({'m', 'n'} - set(given))} in the config or flags")
+    report = run_ensemble(channel, **given)
     _emit(_json_text(report.to_json_dict()), args.out)
     return EXIT_OK if report.all_passed else EXIT_VERDICT
 
@@ -235,45 +238,38 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="JSON channel or run config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("exponents", help="rate sweep of both exponent branches (CSV)")
-    common(p)
-    p.add_argument("--grid", default=None, help="rate grid as min:max:count")
+    p = command("exponents", cmd_exponents, "rate sweep of both exponent branches (CSV)")
+    p.add_argument("--grid", dest="rates", type=_grid_flag, metavar="MIN:MAX:COUNT",
+                   help="rate grid (wins over config rates and grid)")
 
-    p = sub.add_parser("thresholds", help="capacity, crossover and divergence rates (JSON)")
-    common(p)
-
-    p = sub.add_parser("simulate", help="finite-blocklength ensemble bound checks (JSON)")
-    common(p)
+    command("thresholds", cmd_thresholds, "capacity, crossover and divergence rates (JSON)")
+    p = command("simulate", cmd_simulate, "finite-blocklength ensemble bound checks (JSON)")
     p.add_argument("--m", type=int, default=None, help="codewords per codebook")
     p.add_argument("--n", type=int, default=None, help="block length")
     p.add_argument("--trials", type=int, default=None, help="Monte-Carlo codebook draws")
-    p.add_argument("--exhaustive", action="store_true", help="enumerate every codebook exactly")
+    p.add_argument("--exhaustive", action="store_const", const=True,
+                   help="enumerate every codebook exactly")
     p.add_argument("--seed", type=int, default=None, help="master seed for sampling")
-    p.add_argument("--r-list", default=None, help="comma-separated tilt orders (default 1,2,4)")
+    p.add_argument("--r-list", type=_tilt_orders, help="tilt orders r1,r2,... (default 1,2,4)")
     p.add_argument("--gamma", type=float, default=None,
                    help="quantile parameter for the exact Markov-type check")
 
-    p = sub.add_parser("validate", help="check a channel config and print its spectra")
-    common(p)
-
+    command("validate", cmd_validate, "check a channel config and print its spectra")
     return ap
 
 
 def main(argv=None) -> int:
-    handlers = {
-        "exponents": cmd_exponents,
-        "thresholds": cmd_thresholds,
-        "simulate": cmd_simulate,
-        "validate": cmd_validate,
-    }
     try:
         args = _parser().parse_args(argv)
         _check_out(args.out)
-        return handlers[args.command](args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

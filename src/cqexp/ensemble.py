@@ -5,8 +5,8 @@ exhaustively with their product probabilities) as integer codeword arrays,
 encoded into tensor-product states, and decoded with the square-root (pretty
 good) measurement.  The module evaluates the ensemble-average error bound,
 the tilted-moment bound built from pairwise overlaps, and the Markov-type
-quantile bound, reporting each as a PASS/FAIL verdict with explicit slack:
-zero (1e-12) in exhaustive mode, three standard errors in Monte-Carlo mode.
+quantile bound, each as a BoundCheck, PASS iff its empirical value is at most the
+bound plus slack: 1e-12 when exact, three standard errors in Monte-Carlo mode.
 
 The error of a codebook is the same on its orbit under message and position
 permutations, and a constant column is a common tensor factor, so the decoder
@@ -15,7 +15,7 @@ decodes one member of each orbit, on its L varying columns at dimension d**L
 
 Caps: product-state dimension d**n <= 4096, exhaustive enumeration
 |X|**(M n) <= 2**20, product states of at most 2**30 bytes per codebook at
-dimension d**n, and 256 KiB of product states (or codewords) per chunk.
+dimension d**n and as many of drawn codewords (trials M n 8), 256 KiB per chunk.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import reduce
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .exponents import _check_gamma, e0, ex_function
 from .qlinalg import DensityOperator, DIM_CAP, _eigh, _reject_drift, hermitian_eig, kron
 
 ENUM_CAP = 2 ** 20
-BOOK_BYTES_CAP = 2 ** 30  # product states of one decoded codebook, M D^2 itemsize
+BOOK_BYTES_CAP = 2 ** 30  # product states of one codebook (M D^2 itemsize); all drawn codewords
 DECODE_CHUNK_BYTES = 2 ** 18  # product states, or codewords, held at once (one codebook at least)
 SUPPORT_TOL = 1e-10  # eigenvalues of the state sum below this are not inverted
 EXACT_SLACK = 1e-12
@@ -70,13 +70,16 @@ class DecodingResult:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """One bound comparison: PASS iff empirical <= bound + slack."""
+    """One bound comparison, and the one verdict rule: PASS iff empirical <= bound + slack."""
 
     name: str
     bound: float
     empirical: float
     slack: float
-    verdict: str
+
+    @property
+    def verdict(self) -> str:
+        return "PASS" if self.empirical <= self.bound + self.slack else "FAIL"
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,12 +97,12 @@ class EnsembleReport:
     exponent_samples: tuple[float, ...]
     bound_checks: tuple[BoundCheck, ...]
     gamma: float | None = None
-    markov_checks: tuple[tuple[float, MarkovCheck], ...] = ()  # (r, check) per tilt order
+    markov_checks: tuple[tuple[float, BoundCheck], ...] = ()  # (r, check) per tilt order
 
     @property
     def all_passed(self) -> bool:
-        return (all(c.verdict == "PASS" for c in self.bound_checks)
-                and all(c.passed for _, c in self.markov_checks))
+        checks = self.bound_checks + tuple(c for _, c in self.markov_checks)
+        return all(c.verdict == "PASS" for c in checks)
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -112,24 +115,16 @@ class EnsembleReport:
             "mean_pe": self.mean_pe,
             "tilted_means": {f"{r:g}": _json_real(v) for r, v in self.tilted_means.items()},
             "exponent_samples": [_json_real(x) for x in self.exponent_samples],
-            "bound_checks": [{**asdict(c), "bound": _json_real(c.bound),
+            "bound_checks": [{**asdict(c), "verdict": c.verdict, "bound": _json_real(c.bound),
                               "empirical": _json_real(c.empirical)} for c in self.bound_checks],
         }
         if self.gamma is not None:
             doc["markov_checks"] = [
-                {"r": r, "gamma": self.gamma, "lhs_probability": c.lhs_probability,
-                 "bound": c.bound, "verdict": "PASS" if c.passed else "FAIL"}
+                {"r": r, "gamma": self.gamma, "lhs_probability": c.empirical,
+                 "bound": c.bound, "verdict": c.verdict}
                 for r, c in self.markov_checks
             ]
         return doc
-
-
-class MarkovCheck(NamedTuple):
-    """Exact quantile-bound comparison: lhs probability against 1/gamma."""
-
-    lhs_probability: float
-    bound: float
-    passed: bool
 
 
 def _json_real(x: float) -> float | str:
@@ -315,6 +310,8 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     if book_bytes > BOOK_BYTES_CAP:
         raise ValueError(f"the {m} product states of one codebook take {book_bytes} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
+    if not exhaustive and trials * m * n * 8 > BOOK_BYTES_CAP:  # all drawn before decoding
+        raise ValueError(f"{trials} draws of {m} x {n} codewords exceed {BOOK_BYTES_CAP} bytes")
     seeds = None if exhaustive else np.random.SeedSequence(seed).generate_state(trials).tolist()
     reps, orbits, weights = {}, [], []  # representative bytes -> orbit index
     for words, weight in _codeword_chunks(channel, m, n, max(1, DECODE_CHUNK_BYTES // (m * n * 8)),
@@ -376,7 +373,7 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
     Exhaustive mode enumerates every codebook and weights by its product
     probability; expectations are exact and verdicts use slack 1e-12.
     Monte-Carlo mode draws ``trials`` codebooks (one sub-seed per trial
-    derived from ``seed``) and verdicts allow three standard errors.
+    derived from ``seed`` >= 0) and verdicts allow three standard errors.
     With ``gamma`` (exhaustive mode only) the report also carries, for each r,
     the exact quantile check P[P_e >= (gamma E[P_e^(1/r)])^r] against 1/gamma.
     A bound or threshold whose r-th power overflows a float is +inf; a threshold
@@ -387,6 +384,8 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
         raise ValueError(f"tilt orders must be finite and >= 1, got {r_list}")
     if len({f"{r:g}" for r in r_list}) < len(r_list):  # the report keys orders by %g
         raise ValueError(f"tilt orders must be distinct as printed (%g), got {r_list}")
+    if seed < 0:
+        raise ValueError(f"'seed' must be a non-negative integer, got {seed}")
     if gamma is not None:
         if not exhaustive:
             raise ValueError("the quantile check (gamma) needs exhaustive enumeration: it is exact")
@@ -404,9 +403,7 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
             var = float(weights @ (tilted - mean) ** 2) * trials / max(trials - 1, 1)
             # delta method: d(x^r)/dx at the tilted mean scales the 3-sigma slack
             slack = MC_SIGMAS * math.sqrt(var / trials) * r * mean ** (r - 1.0)
-        empirical = mean ** r
-        verdict = "PASS" if empirical <= bound + slack else "FAIL"
-        return mean, BoundCheck(name, bound, empirical, slack, verdict)
+        return mean, BoundCheck(name, bound, mean ** r, slack)
 
     mean_pe, mean_check = check("mean_error_bound", _rc_mean_bound(channel, m, n), 1.0)
     checks, tilted_means, markov_checks = [mean_check], {}, []
@@ -416,9 +413,9 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
         checks.append(tilted_check)
         if gamma is not None:  # (gamma T)^r > 0: a book of M equal words has P_e = 1 - 1/M
             threshold = _power(gamma * tilted_means[r], r) or math.ulp(0.0)
-            lhs = float(weights[pes >= threshold].sum())
-            markov_checks.append((r, MarkovCheck(lhs, 1.0 / gamma,
-                                                 lhs <= 1.0 / gamma + EXACT_SLACK)))
+            mass = float(weights[pes >= threshold].sum())
+            markov_checks.append((r, BoundCheck(f"markov_bound_r{r:g}", 1.0 / gamma, mass,
+                                                EXACT_SLACK)))
 
     samples = tuple(-math.log2(p) / n if p > 0.0 else math.inf for p in pes)
     return EnsembleReport(
@@ -437,7 +434,7 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
 
 
 def verify_markov_bound(channel: CQChannel, m: int, n: int, r: float,
-                        gamma: float) -> MarkovCheck:
+                        gamma: float) -> BoundCheck:
     """Exact check of P[P_e >= (gamma E[P_e^(1/r)])^r] <= 1/gamma for one order r >= 1:
     run_ensemble's exhaustive check with r_list=(r,)."""
     return run_ensemble(channel, m, n, exhaustive=True, r_list=(r,),

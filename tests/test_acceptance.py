@@ -115,8 +115,8 @@ def test_criterion_6_exact_quantile_bound():
     ch = pauli_channel(0.95)
     checks = [verify_markov_bound(ch, 2, 2, r, g)
               for r in (1.0, 2.0, 4.0) for g in (1.0, 2.0, 4.0, 16.0)]
-    ok = all(c.passed for c in checks)
-    margin = min(c.bound - c.lhs_probability for c in checks)
+    ok = all(c.verdict == "PASS" for c in checks)
+    margin = min(c.bound - c.empirical for c in checks)
     assert _record(6, ok, f"exhaustive m=2 n=2 quantile bound holds at all 12 (r, gamma) "
                           f"pairs, smallest margin {margin:.4f}")
 

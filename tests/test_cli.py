@@ -235,6 +235,10 @@ def test_simulate_flag_overrides_config(tmp_path):
                      "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["trials"] == 25 and report["seed"] == 9
+    cfg = write_config(tmp_path, {**doc, "exhaustive": False})
+    assert cli.main(["simulate", "--config", cfg, "--exhaustive", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["exhaustive"] is True and report["trials"] is None
 
 
 def test_simulate_gamma_requires_exhaustive(tmp_path, capsys):
@@ -253,6 +257,7 @@ def test_simulate_gamma_requires_exhaustive(tmp_path, capsys):
     ["--exhaustive", "--m", "1"],
     ["--trials", "5", "--out", "/nonexistent/dir/r.json"],
     ["--exhaustive", "--r-list", "1.0000001,1.0000002"],
+    ["--trials", "1000000000000"],  # its codewords would take 32 TB, drawn before decoding
 ])
 def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("cqexp.ensemble._pgm_errors",
@@ -269,7 +274,7 @@ def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
     ("exhaustive", "false"), ("exhaustive", 1),
     ("m", 2.7), ("n", True), ("trials", 2.9), ("seed", 1.5), ("seed", math.nan),
     ("gamma", "16"), ("gamma", True), ("r_list", "124"), ("r_list", [True]),
-    ("r_list", ""), ("r_list", {}),
+    ("r_list", ""), ("r_list", {}), ("seed", -3),
 ])
 def test_simulate_non_numeric_config_value(tmp_path, capsys, key, value):
     # gamma is only accepted with exhaustive enumeration: refuse it for its type alone
@@ -337,7 +342,7 @@ def test_simulate_failed_verdict_exit_code(tmp_path, monkeypatch):
         decoder="pgm", m=2, n=1, exhaustive=True, trials=None, seed=None,
         mean_pe=0.9, tilted_means={1.0: 0.9}, exponent_samples=(0.1,),
         bound_checks=(BoundCheck(name="mean_error_bound", bound=0.5,
-                                 empirical=0.9, slack=0.0, verdict="FAIL"),),
+                                 empirical=0.9, slack=0.0),),
     )
     monkeypatch.setattr(cli, "run_ensemble", lambda *a, **k: fake)
     cfg = write_config(tmp_path, PAULI_DOC)
@@ -432,6 +437,22 @@ def test_validate_refuses_a_channel_number_that_is_not_a_json_number(tmp_path, c
     assert field in err
 
 
+@pytest.mark.parametrize("command, doc, named", [
+    ("thresholds", {"kind": "pauli", "mu": 0.95, "thet": 0.1}, "'thet'"),
+    ("validate", {"kind": "classical", "w": [[1, 0], [0, 1]], "mu": 0.9}, "'mu'"),
+    ("validate", {"kind": "generic", "states": [{"re": [[1, 0], [0, 0]], "imag": 0}]}, "'imag'"),
+    ("simulate", {"channel": PAULI_DOC, "m": 2, "n": 1, "exhaustive": True, "gama": 16}, "'gama'"),
+    *[(command, {"channel": PAULI_DOC, "grid": {"min": 0, "max": 0.5, "count": 3}, "m": 2,
+                 "n": 1, "trials": 5, "gama": 16}, "'gama'")
+      for command in ("exponents", "thresholds", "validate")],
+], ids=["pauli-thet", "classical-mu", "generic-imag", "simulate-gama", "exponents-gama",
+        "thresholds-gama", "validate-gama"])
+def test_unknown_config_key_exits_1_naming_it(tmp_path, capsys, command, doc, named):
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 def test_unknown_kind(tmp_path, capsys):
     cfg = write_config(tmp_path, {"kind": "telepathy"})
     assert cli.main(["thresholds", "--config", cfg]) == 1
@@ -481,6 +502,8 @@ def test_shipped_configs_validate():
     (["exponents", "--config", "CFG", "--grid", "0:0.5:3", "--bogus"], "--bogus"),
     (["frobnicate", "--config", "CFG"], "frobnicate"),
     ([], "command"),
+    (["simulate", "--config", "CFG", "--m", "2", "--n", "1", "--trials", "5", "--seed", "-1"],
+     "'seed'"),
 ])
 def test_usage_errors_exit_1_with_one_line(tmp_path, capsys, argv, needle):
     cfg = write_config(tmp_path, PAULI_DOC)

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from cqexp import (
+    BoundCheck,
     CQChannel,
     Codebook,
     DensityOperator,
     InputDistribution,
-    MarkovCheck,
     PauliChannelParams,
     binary_pauli,
     e0,
@@ -613,23 +613,23 @@ def test_markov_bound_grid():
     ch = pauli_channel(0.95)
     for r, gamma in itertools.product((1.0, 2.0, 4.0), (1.0, 4.0, 16.0)):
         check = verify_markov_bound(ch, 2, 2, r, gamma)
-        assert check.passed
+        assert check.verdict == "PASS"
         assert check.bound == pytest.approx(1.0 / gamma, abs=1e-15)
-        assert check.lhs_probability <= check.bound + 1e-12
+        assert check.empirical <= check.bound + 1e-12
 
 
 def test_markov_bound_deterministic_inputs():
     # all probability on one book: the threshold gamma^r P_e exceeds P_e
     ch = biased_channel(1.0, 0.0)
     check = verify_markov_bound(ch, 2, 2, 2.0, 4.0)
-    assert check.lhs_probability == 0.0
-    assert check.passed
+    assert check.empirical == 0.0
+    assert check.verdict == "PASS"
 
 
 def test_markov_bound_gamma_one_trivial():
     check = verify_markov_bound(pauli_channel(0.9), 2, 1, 1.0, 1.0)
     assert check.bound == 1.0
-    assert check.passed
+    assert check.verdict == "PASS"
 
 
 def test_markov_bound_validation():
@@ -681,8 +681,8 @@ def test_quantile_mass_equals_the_brute_force_oracle(ch, m, n, r_list, gamma, wa
     report = run_ensemble(ch, m, n, exhaustive=True, r_list=r_list, gamma=gamma)
     for (r, check), approx in zip(report.markov_checks, want):
         oracle = _brute_force_quantile_mass(ch, m, n, r, gamma)
-        assert abs(check.lhs_probability - oracle) <= 1e-12
-        assert check.lhs_probability == pytest.approx(approx, abs=5e-4)
+        assert abs(check.empirical - oracle) <= 1e-12
+        assert check.empirical == pytest.approx(approx, abs=5e-4)
 
 
 def test_markov_threshold_is_one_power_of_gamma_times_the_tilted_mean():
@@ -691,17 +691,24 @@ def test_markov_threshold_is_one_power_of_gamma_times_the_tilted_mean():
     with pytest.raises(OverflowError):
         gamma ** r
     report = run_ensemble(ch, 2, 1, exhaustive=True, r_list=(r,), gamma=gamma)
-    assert report.markov_checks == ((r, MarkovCheck(0.5, 1.0 / gamma, True)),)
+    assert report.markov_checks == ((r, BoundCheck("markov_bound_r2000", 1.0 / gamma, 0.5, 1e-12)),)
     # (gamma T)^r itself overflows: the threshold is +inf and no codebook reaches it
     (_, check), = run_ensemble(ch, 2, 1, exhaustive=True, r_list=(2.0,),
                                gamma=1e200).markov_checks
-    assert check == MarkovCheck(0.0, 1e-200, True)
+    assert check == BoundCheck("markov_bound_r2", 1e-200, 0.0, 1e-12)
+
+
+@pytest.mark.parametrize("empirical, verdict", [
+    (0.75, "PASS"), (math.nextafter(0.75, 1.0), "FAIL"), (math.nan, "FAIL")],
+    ids=["equality", "above", "nan"])
+def test_bound_check_verdict_is_empirical_at_most_bound_plus_slack(empirical, verdict):
+    assert BoundCheck("check", bound=0.25, empirical=empirical, slack=0.5).verdict == verdict
 
 
 def test_report_all_passed_covers_markov_checks():
     report = run_ensemble(pauli_channel(0.95), 2, 1, exhaustive=True, r_list=(1.0,), gamma=4.0)
     assert report.all_passed
-    failed = MarkovCheck(lhs_probability=0.5, bound=0.25, passed=False)
+    failed = BoundCheck("markov_bound_r1", bound=0.25, empirical=0.5, slack=1e-12)
     broken = dataclasses.replace(report, markov_checks=((1.0, failed),))
     assert not broken.all_passed
     assert broken.to_json_dict()["markov_checks"][0]["verdict"] == "FAIL"
