@@ -13,9 +13,9 @@ permutations, and a constant column is a common tensor factor, so the decoder
 decodes one member of each orbit, on its L varying columns at dimension d**L
 (one column, error 1 - 1/M, when none varies), and scatters the value back.
 
-Caps: product-state dimension d**n <= 4096, exhaustive enumeration
-|X|**(M n) <= 2**20, product states of at most 2**30 bytes per codebook at
-dimension d**n and as many of drawn codewords (trials M n 8), 256 KiB per chunk.
+Caps: product-state dimension d**n <= 4096, exhaustive enumeration |X|**(M n) <= 2**20,
+2**30 bytes of a codebook's product states at dimension d**n or of a Monte-Carlo run's
+draws (trials (16 M n + 60)), 256 KiB per chunk, 4 MiB per table of distinct words.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from .exponents import _check_gamma, e0, ex_function
 from .qlinalg import DensityOperator, DIM_CAP, _eigh, _reject_drift, hermitian_eig, kron
 
 ENUM_CAP = 2 ** 20
-BOOK_BYTES_CAP = 2 ** 30  # product states of one codebook (M D^2 itemsize); all drawn codewords
+BOOK_BYTES_CAP = 2 ** 30  # product states of one codebook (M D^2 itemsize); a run's draws
 DECODE_CHUNK_BYTES = 2 ** 18  # product states, or codewords, held at once (one codebook at least)
+_TABLE_BYTES = 2 ** 22  # distinct-word product states held at once (one codebook at least)
 SUPPORT_TOL = 1e-10  # eigenvalues of the state sum below this are not inverted
 EXACT_SLACK = 1e-12
 MC_SIGMAS = 3.0
@@ -157,14 +158,17 @@ def _symbols(codewords) -> np.ndarray:
 
 
 def _codeword_chunks(channel: CQChannel, m: int, n: int, chunk: int,
-                     seeds: list[int] | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                     seeds=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(B, M, n) int64 codeword arrays, B <= chunk, with their (B,) weights: each codebook
     in itertools.product order (its index's mixed-radix digits) with its probability, or
-    one default_rng(seed) draw per seed, weighted 1/len(seeds).  The caller validates m
-    and n; the enumeration refuses more than ENUM_CAP codebooks when it starts."""
+    per seed default_rng(seed).choice(k, (M, n), p=Q), weighted 1/len(seeds).  The caller
+    validates m and n; the enumeration refuses more than ENUM_CAP codebooks when it starts."""
     k, q = channel.alphabet_size, channel.q.probabilities
-    if seeds is not None:  # all drawn up front: interleaving with decoding measured 3% slower
-        drawn = np.array([np.random.default_rng(s).choice(k, size=(m, n), p=q) for s in seeds])
+    if seeds is not None:  # as choice draws: each seed's random((M, n)) in the inverse CDF
+        uniforms, cdf = np.empty((len(seeds), m, n)), np.cumsum(q)
+        for row, s in zip(uniforms, seeds):
+            np.random.default_rng(s).random(out=row)
+        drawn = np.searchsorted(cdf / cdf[-1], uniforms, side="right")
         for lo in range(0, len(seeds), chunk):
             yield drawn[lo:lo + chunk], np.full(len(drawn[lo:lo + chunk]), 1.0 / len(seeds))
         return
@@ -298,8 +302,10 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     """Decode each enumerated (or drawn) codebook; return codebook probabilities and
     average errors.  P_e is the same on a codebook's whole orbit, so each distinct
     _orbit_members representative is decoded once, on its L varying columns at dimension
-    d**L, in chunks of at most DECODE_CHUNK_BYTES of product states built from the
-    validated letters (real when every letter is), and its value scattered back."""
+    d**L, and its value scattered back.  Each distinct L-letter word's product state is
+    built once from the validated letters (real when every letter is) into a table of at
+    most _TABLE_BYTES (one codebook at least; else one per block of representatives),
+    and gathered from it in chunks of at most DECODE_CHUNK_BYTES of product states."""
     if not exhaustive and (trials is None or trials < 1):
         raise ValueError("Monte-Carlo mode needs trials >= 1 (or pass exhaustive=True)")
     _check_book(channel, m, n)
@@ -310,9 +316,12 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     if book_bytes > BOOK_BYTES_CAP:
         raise ValueError(f"the {m} product states of one codebook take {book_bytes} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
-    if not exhaustive and trials * m * n * 8 > BOOK_BYTES_CAP:  # all drawn before decoding
-        raise ValueError(f"{trials} draws of {m} x {n} codewords exceed {BOOK_BYTES_CAP} bytes")
-    seeds = None if exhaustive else np.random.SeedSequence(seed).generate_state(trials).tolist()
+    # all drawn before decoding; per trial a seed, uniforms, codewords, an orbit index, a
+    # weight, P_e and an exponent sample (a float and its tuple slot)
+    if not exhaustive and (held := trials * (16 * m * n + 60)) > BOOK_BYTES_CAP:
+        raise ValueError(f"{trials} draws of {m} x {n} codewords take {held} bytes, "
+                         f"over the cap {BOOK_BYTES_CAP}")
+    seeds = None if exhaustive else np.random.SeedSequence(seed).generate_state(trials)
     reps, orbits, weights = {}, [], []  # representative bytes -> orbit index
     for words, weight in _codeword_chunks(channel, m, n, max(1, DECODE_CHUNK_BYTES // (m * n * 8)),
                                           seeds):
@@ -325,15 +334,25 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     pes = np.empty(len(reps))
     for width in set(widths.tolist()):  # not np.unique, whose first call imports numpy.ma
         todo = np.flatnonzero(widths == width)
-        step = max(1, DECODE_CHUNK_BYTES // (m * channel.dim ** (2 * width) * letters.itemsize))
-        for part in np.split(todo, range(step, len(todo), step)):
-            words = members[part, :, n - width:]
-            states = letters[words[..., 0]]
+        word_bytes = channel.dim ** (2 * width) * letters.itemsize
+        step = max(1, DECODE_CHUNK_BYTES // (m * word_bytes))
+        room = max(m, _TABLE_BYTES // word_bytes)  # words per table: one codebook at least
+        keys = np.ascontiguousarray(members[todo, :, n - width:]).view(f"V{width * 8}")[..., 0]
+        tables, starts, ids = [{}], [0], np.empty((len(todo), m), dtype=np.int64)
+        for i, row in enumerate(keys.tolist()):  # word bytes -> row of its block's table
+            if len(tables[-1]) + len(set(row).difference(tables[-1])) > room:
+                tables.append({})
+                starts.append(i)
+            ids[i] = [tables[-1].setdefault(word, len(tables[-1])) for word in row]
+        for table, block in zip(tables, np.split(np.arange(len(todo)), starts[1:])):
+            words = np.frombuffer(b"".join(table), dtype=np.int64).reshape(len(table), width)
+            states = letters[words[:, 0]]
             for col in range(1, width):  # Kronecker chain, left to right as in product_state
-                right = letters[words[..., col]][..., None, :, None, :]
-                outer = states[..., :, None, :, None] * right
-                states = outer.reshape(*outer.shape[:2], outer.shape[2] * outer.shape[3], -1)
-            pes[part] = _pgm_errors(states)
+                right = letters[words[:, col]][:, None, :, None, :]
+                outer = states[:, :, None, :, None] * right
+                states = outer.reshape(len(words), outer.shape[1] * outer.shape[2], -1)
+            for part in np.split(block, range(step, len(block), step)):
+                pes[todo[part]] = _pgm_errors(states[ids[part]])
     return np.concatenate(weights), pes[np.concatenate(orbits)]
 
 

@@ -480,13 +480,28 @@ CHUNK_CHANNELS = (pauli_channel(0.95), random_channel(np.random.default_rng(1), 
 @pytest.mark.parametrize("chunk_bytes", [1, 2 ** 30])
 def test_decoding_is_chunking_invariant(monkeypatch, ch, exhaustive, chunk_bytes):
     # 37 draws of 16x16 products, and the 729 M=2 n=3 codebooks of the 3-letter
-    # channel, leave a partial last chunk at the default size
+    # channel, leave a partial last chunk at the default size; a 1-byte state
+    # table holds one codebook's words, so each representative has a table of its own
     m, n = (2, 3) if exhaustive else (4, 4)
     default = _decode_ensemble(ch, m, n, exhaustive=exhaustive, trials=37, seed=8)
-    monkeypatch.setattr("cqexp.ensemble.DECODE_CHUNK_BYTES", chunk_bytes)
-    weights, pes = _decode_ensemble(ch, m, n, exhaustive=exhaustive, trials=37, seed=8)
-    assert np.array_equal(weights, default[0])
-    assert np.array_equal(pes, default[1])
+    for budget in ("DECODE_CHUNK_BYTES", "_TABLE_BYTES"):
+        with monkeypatch.context() as patch:
+            patch.setattr(f"cqexp.ensemble.{budget}", chunk_bytes)
+            weights, pes = _decode_ensemble(ch, m, n, exhaustive=exhaustive, trials=37, seed=8)
+        assert np.array_equal(weights, default[0])
+        assert np.array_equal(pes, default[1])
+
+
+@pytest.mark.parametrize("q", [(0.2, 0.0, 0.8), (0.5, 0.15, 0.35)])
+def test_monte_carlo_draws_are_generator_choice(q):
+    # the oracle is numpy's own choice: a numpy change that moves its stream fails here
+    ch, m, n = CQChannel((DensityOperator.maximally_mixed(2),) * 3, InputDistribution(q)), 3, 5
+    seeds = np.random.SeedSequence(21).generate_state(150)
+    words, weights = map(np.concatenate, zip(*_codeword_chunks(ch, m, n, 64, seeds)))
+    want = [np.random.default_rng(int(s)).choice(3, size=(m, n), p=np.array(q)) for s in seeds]
+    assert np.array_equal(words, want) and words.dtype == np.int64
+    assert np.array_equal(weights, np.full(150, 1.0 / 150))
+    assert set(np.unique(words)) == ({0, 2} if 0.0 in q else {0, 1, 2})
 
 
 def test_ensemble_runs_build_no_codebook(monkeypatch):
@@ -509,12 +524,16 @@ def test_one_codebook_memory_cap(monkeypatch, exhaustive):
     real = pauli_channel(0.95)  # every letter is real: 8-byte entries
     complex_ch = random_channel(np.random.default_rng(3), 2, 2)  # 16-byte entries
     monkeypatch.setattr("cqexp.ensemble.BOOK_BYTES_CAP", 2 * 4 ** 2 * 8)  # M=2, n=2, real
-    _decode_ensemble(real, 2, 2, exhaustive=exhaustive, trials=3)  # exactly at the cap
+    # product states exactly at the cap; two draws are priced 2 (16 M n + 60) = 248 bytes
+    _decode_ensemble(real, 2, 2, exhaustive=exhaustive, trials=2)
 
     def no_draw(*_, **__):
         raise AssertionError("codebooks were drawn or enumerated")
 
     monkeypatch.setattr("cqexp.ensemble._codeword_chunks", no_draw)
+    if not exhaustive:  # three draws' codewords alone (96 bytes) would fit
+        with pytest.raises(ValueError, match="3 draws of 2 x 2 codewords take 372 bytes, over"):
+            _decode_ensemble(real, 2, 2, exhaustive=False, trials=3)
     for ch, m in ((real, 3), (complex_ch, 2)):
         with pytest.raises(ValueError, match="over the cap 256"):
             _decode_ensemble(ch, m, 2, exhaustive=exhaustive, trials=3)
