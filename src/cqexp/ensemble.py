@@ -9,17 +9,18 @@ quantile bound, each as a BoundCheck, PASS iff its empirical value is at most th
 bound plus slack: 1e-12 when exact, three standard errors in Monte-Carlo mode.
 
 The error of a codebook is the same on its orbit under message and position
-permutations, and a constant column is a common tensor factor, so the decoder
-decodes one member of each orbit, on its L varying columns at dimension d**L
-(one column, error 1 - 1/M, when none varies), and scatters the value back.
+permutations and exact letter symmetries, and a constant column is a common tensor
+factor, so the decoder decodes one member of each orbit, on its L varying columns at
+dimension d**L (one column, error 1 - 1/M, when none varies), and scatters it back.
 
 Caps: product-state dimension d**n <= 4096, exhaustive enumeration |X|**(M n) <= 2**20,
 2**30 bytes of a codebook's product states at dimension d**n or of a Monte-Carlo run's
-draws (trials (16 M n + 60)), 256 KiB per chunk, 4 MiB per table of distinct words.
+draws (trials (24 M n + 125)), 256 KiB per chunk, 4 MiB per table of distinct words.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import reduce
@@ -279,16 +280,46 @@ def _pgm_errors(states: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - hits, 0.0, 1.0).mean(axis=1)
 
 
-def _orbit_members(words: np.ndarray) -> np.ndarray:
-    """One member of each (M, n) codebook's orbit under message and position permutations,
-    in a (B, M, n) stack: constant columns set to -1 and sorted first (an all-constant book
-    keeps its lowest-symbol column), after alternating stable sorts of the columns and the
-    rows, each keyed first by its sorted entries, which the other sort cannot change."""
+def _letter_symmetries(letters: np.ndarray) -> np.ndarray:
+    """(|G|, k) alphabet permutations pi, identity first, for which a signed permutation
+    matrix U (U, -U alike; all tried when d <= 4, else none) maps the k distinct letters onto
+    letters exactly: U sigma_x U^T, formed by indexing and sign flips, == sigma_pi(x) entrywise.
+    pi on a column conjugates one factor of every product state by U: P_e does not change."""
+    k, d = letters.shape[:2]
+    rows = lambda mats: list(map(tuple, mats.reshape(-1, d * d).tolist()))  # noqa: E731
+    where = {row: x for x, row in enumerate(rows(letters))}
+    if d > 4 or len(where) < k:  # equal letters: the identity alone
+        return np.arange(k)[None]
+    diagonals = itertools.product((1.0,), *[(1.0, -1.0)] * (d - 1))  # U = diag(v) P, v[0] = 1
+    signs = np.array([np.outer(v, v) for v in diagonals])[:, None]  # on U sigma U^T's entries
+    found = set()
+    for perm in map(list, itertools.permutations(range(d))):
+        images = [where.get(row) for row in rows(signs * letters[:, perm][:, :, perm])]
+        found.update(tuple(images[lo:lo + k]) for lo in range(0, len(images), k)
+                     if None not in images[lo:lo + k])
+    return np.array(sorted(found))  # the identity is the least permutation
+
+
+def _orbit_members(words: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """One member of each (M, n) codebook's orbit under message and position permutations
+    and the letter symmetries ``group`` on any column, in a (B, M, n) stack: constant columns
+    become -1 (an all-constant book keeps its lowest-symbol column).  Unless the group is the
+    identity, the message whose sorted distances to the others are least goes first and each
+    column becomes its least image, first entry first; then the columns and the rows are
+    sorted twice, each keyed first by its sorted entries, which the other sort cannot change."""
+    m = words.shape[1]
     const = (words == words[:, :1]).all(axis=1)
     lone = const.all(axis=1)
-    const[lone, words[lone, 0].argmin(axis=1)] = False
+    const[lone, words[lone, 0].view(np.uint64).argmin(axis=1)] = False  # -1 reads largest
     words = np.where(const[:, None, :], -1, words)
-    for _ in range(2):  # a third round shared no further codebook on the measured ensembles
+    if len(group) > 1:  # distances between messages do not change under the symmetries
+        far = np.sort(sum(c[:, :, None] != c[:, None] for c in np.moveaxis(words, 2, 0)), axis=2)
+        first = np.lexsort(np.flip(far, 2).transpose(2, 0, 1))[:, :1]
+        words = words[np.arange(len(words))[:, None], (np.arange(m) + first) % m]
+        images = np.pad(group, ((0, 0), (0, 1)), constant_values=-1)[:, words]  # (|G|, B, M, n)
+        least = np.lexsort(np.flip(images, 2).transpose(2, 0, 1, 3), axis=0)[:1, :, None]
+        words = np.take_along_axis(images, least, axis=0)[0]
+    for _ in range(2):  # a third round would move members of channels with no symmetry
         for lines, entries in ((2, 1), (1, 2)):  # columns, then rows
             keys = np.concatenate([np.flip(words, entries),
                                    np.flip(np.sort(words, axis=entries), entries)], axis=entries)
@@ -297,15 +328,21 @@ def _orbit_members(words: np.ndarray) -> np.ndarray:
     return words
 
 
+def _member_ids(members: np.ndarray, reps: dict) -> np.ndarray:
+    """The index of each (M, n) member in ``reps`` (member bytes -> index), new ones appended."""
+    keys = members.reshape(len(members), -1).view(f"V{members[0].size * 8}").ravel().tolist()
+    return np.array([reps.setdefault(key, len(reps)) for key in keys])
+
+
 def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = True,
                      trials: int | None = None, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Decode each enumerated (or drawn) codebook; return codebook probabilities and
-    average errors.  P_e is the same on a codebook's whole orbit, so each distinct
-    _orbit_members representative is decoded once, on its L varying columns at dimension
-    d**L, and its value scattered back.  Each distinct L-letter word's product state is
-    built once from the validated letters (real when every letter is) into a table of at
-    most _TABLE_BYTES (one codebook at least; else one per block of representatives),
-    and gathered from it in chunks of at most DECODE_CHUNK_BYTES of product states."""
+    average errors.  P_e is the same on a codebook's orbit, so each codebook is mapped by
+    _orbit_members, each distinct member once more under the letter symmetries, and each
+    final member decoded once, on its L varying columns at dimension d**L.  Each distinct
+    L-letter word's product state is built once from the validated letters (real when every
+    letter is) into a table of at most _TABLE_BYTES (one codebook at least; else one per block
+    of representatives), and gathered from it in chunks of DECODE_CHUNK_BYTES of states."""
     if not exhaustive and (trials is None or trials < 1):
         raise ValueError("Monte-Carlo mode needs trials >= 1 (or pass exhaustive=True)")
     _check_book(channel, m, n)
@@ -316,20 +353,25 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     if book_bytes > BOOK_BYTES_CAP:
         raise ValueError(f"the {m} product states of one codebook take {book_bytes} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
-    # all drawn before decoding; per trial a seed, uniforms, codewords, an orbit index, a
-    # weight, P_e and an exponent sample (a float and its tuple slot)
-    if not exhaustive and (held := trials * (16 * m * n + 60)) > BOOK_BYTES_CAP:
+    # all drawn before decoding; per trial a seed, uniforms, codewords, an orbit index, a weight,
+    # P_e, an exponent sample (float, tuple slot), a reps key (8 M n bytes, 33 header, 32 slot)
+    if not exhaustive and (held := trials * (24 * m * n + 125)) > BOOK_BYTES_CAP:
         raise ValueError(f"{trials} draws of {m} x {n} codewords take {held} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
+    group = _letter_symmetries(letters)
     seeds = None if exhaustive else np.random.SeedSequence(seed).generate_state(trials)
     reps, orbits, weights = {}, [], []  # representative bytes -> orbit index
     for words, weight in _codeword_chunks(channel, m, n, max(1, DECODE_CHUNK_BYTES // (m * n * 8)),
                                           seeds):
-        flat = _orbit_members(words).reshape(len(words), -1)
-        orbits.append(np.array([reps.setdefault(member, len(reps))
-                                for member in flat.view(f"V{m * n * 8}").ravel().tolist()]))
+        orbits.append(_member_ids(_orbit_members(words, group[:1]), reps))
         weights.append(weight)
+    orbits = np.concatenate(orbits)
     members = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n)
+    if len(group) > 1:  # letter symmetries, on distinct members only: cheaper on big ensembles
+        reps, step = {}, max(1, DECODE_CHUNK_BYTES // (m * n * 8 * len(group)))
+        orbits = np.concatenate([_member_ids(_orbit_members(members[lo:lo + step], group), reps)
+                                 for lo in range(0, len(members), step)])[orbits]
+        members = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n)
     widths = (members[:, 0] >= 0).sum(axis=1)
     pes = np.empty(len(reps))
     for width in set(widths.tolist()):  # not np.unique, whose first call imports numpy.ma
@@ -353,7 +395,7 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
                 states = outer.reshape(len(words), outer.shape[1] * outer.shape[2], -1)
             for part in np.split(block, range(step, len(block), step)):
                 pes[todo[part]] = _pgm_errors(states[ids[part]])
-    return np.concatenate(weights), pes[np.concatenate(orbits)]
+    return np.concatenate(weights), pes[orbits]
 
 
 def _rc_mean_bound(channel: CQChannel, m: int, n: int) -> float:

@@ -1,8 +1,10 @@
 """Invariances of the square-root-measurement error under codebook and
-channel symmetries (the orbit decoder relies on the message, column and
-constant-column ones), and the Helstrom lower bound for two codewords, checked
+channel symmetries (the orbit decoder relies on the message, column, letter-symmetry
+and constant-column ones), and the Helstrom lower bound for two codewords, checked
 through the public slow path (product_state -> pgm_povm -> error_probability)
 on random qubit channels."""
+
+import math
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -12,11 +14,13 @@ from cqexp import (
     Codebook,
     DensityOperator,
     error_probability,
+    from_classical_dmc,
     helstrom_error,
     pgm_povm,
     product_state,
 )
-from helpers import random_channel, random_unitary
+from cqexp.ensemble import _letter_symmetries
+from helpers import pauli_channel, random_channel, random_unitary
 
 TOL = 1e-12
 
@@ -45,6 +49,27 @@ def test_permuting_columns_keeps_the_error(case, data):
     channel, words = case
     perm = data.draw(st.permutations(range(words.shape[1])))
     assert abs(average_error(channel, words[:, perm]) - average_error(channel, words)) <= TOL
+
+
+SYMMETRIC_CHANNELS = st.one_of(
+    st.builds(pauli_channel, st.floats(0.5, 1.0), st.floats(-math.pi, math.pi)),
+    st.builds(lambda p: from_classical_dmc([[1.0 - p, p], [p, 1.0 - p]], None),
+              st.floats(0.0, 1.0)),  # a BSC
+)
+
+
+@given(SYMMETRIC_CHANNELS, st.data())
+def test_a_letter_symmetry_on_one_column_keeps_the_error(channel, data):
+    letters = np.array([s.matrix for s in channel.states])
+    group = _letter_symmetries(letters)
+    assert len(group) == 2 or np.array_equal(*letters)  # the swap, unless the letters are equal
+    m, n = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 4))
+    words = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                        min_size=m, max_size=m)))
+    col, pi = data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from(list(group)))
+    moved = words.copy()
+    moved[:, col] = pi[words[:, col]]
+    assert abs(average_error(channel, moved) - average_error(channel, words)) <= TOL
 
 
 @given(channels_and_codebooks(), st.data())

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cqexp import (
     InputDistribution,
     PauliChannelParams,
     binary_pauli,
+    channel_from_config,
     e0,
     enumerate_codebooks,
     error_probability,
@@ -31,6 +33,7 @@ from cqexp.ensemble import (
     RC_BOUND_GRID_POINTS,
     _codeword_chunks,
     _decode_ensemble,
+    _letter_symmetries,
     _pgm_errors,
     _rc_mean_bound,
 )
@@ -359,10 +362,16 @@ def assert_same_report(a, b):
         assert a == b
 
 
-def orbit_key(words) -> tuple:
-    """A codebook's orbit under message and position permutations: its least
-    column-sorted form over every message order (brute force, small M only)."""
-    return min(tuple(sorted(map(tuple, words[list(rows)].T)))
+SWAP = np.array([[0, 1], [1, 0]])  # the letter symmetries of every pauli channel and BSC
+
+
+def orbit_key(words, group=None) -> tuple:
+    """A codebook's orbit under message and position permutations and, given a group of
+    alphabet permutations (one per row), its letter symmetries on any column: its least
+    column-sorted form over every message order, each column at its least image under
+    the group (brute force, small M only)."""
+    image = tuple if group is None else (lambda col: min(tuple(g[col]) for g in group))
+    return min(tuple(sorted(map(image, words[list(rows)].T)))
                for rows in itertools.permutations(range(len(words))))
 
 
@@ -388,19 +397,23 @@ def test_decoding_builds_each_product_state_once(monkeypatch):
     assert words == []  # products come from the channel's validated matrices
     books = [book.codewords for book, _ in enumerate_codebooks(ch, m, n)]
     # the orbit members a slice may hold: the varying columns, or one column of an
-    # all-constant codebook, in every message and position order
-    members = [part[list(rows)][:, list(cols)]
+    # all-constant codebook, in every message and position order, and with the letter
+    # swap on any set of columns
+    members = [SWAP[flips, part[list(rows)][:, list(cols)]]
                for w in books
                for part in ([varying_columns(w)] if varying_columns(w).size else np.split(w, n, 1))
                for rows in itertools.permutations(range(m))
-               for cols in itertools.permutations(range(part.shape[1]))]
+               for cols in itertools.permutations(range(part.shape[1]))
+               for flips in itertools.product((0, 1), repeat=part.shape[1])]
     orbits = []
     for states in decoded:  # array_equal compares shapes: a slice is d**L for L member columns
         member = next(w for w in members
                       if np.array_equal(states, [product_state(ch, c).matrix for c in w]))
-        orbits.append(orbit_key(member))
-    assert len(set(orbits)) == len(decoded) < len(books)  # one slice per representative
-    assert {orbit_key(varying_columns(w)) for w in books if varying_columns(w).size} <= set(orbits)
+        orbits.append(orbit_key(member, SWAP))
+    # one slice per representative: 3 for the 16 codebooks, 5 without the swap
+    assert len(set(orbits)) == len(decoded) == 3
+    assert ({orbit_key(varying_columns(w), SWAP) for w in books if varying_columns(w).size}
+            <= set(orbits))
     monkeypatch.undo()
 
     def slow_decode(channel, m, n, **_):
@@ -415,10 +428,17 @@ def test_decoding_builds_each_product_state_once(monkeypatch):
     assert_same_report(slow.to_json_dict(), report.to_json_dict())
 
 
+def letters_of(channel) -> np.ndarray:
+    return np.array([s.matrix for s in channel.states])
+
+
 def pure_channel(seed=4, k=2, d=2):
     rng = np.random.default_rng(seed)
     return CQChannel(tuple(DensityOperator.from_pure(rng.normal(size=d) + 1j * rng.normal(size=d))
                            for _ in range(k)), None)
+
+
+PAULI_095, PAULI_1 = pauli_channel(0.95), pauli_channel(1.0)
 
 
 @pytest.mark.parametrize("exhaustive", [True, False])
@@ -430,8 +450,8 @@ def pure_channel(seed=4, k=2, d=2):
                  id="complex-3-letter"),
     pytest.param(random_channel(np.random.default_rng(6), 3, 3), 2, 2, False,
                  id="complex-3-letter-qutrit"),
-    pytest.param(pauli_channel(0.95), 3, 2, False, id="pauli-0.95"),
-    pytest.param(pauli_channel(1.0), 4, 2, False, id="pauli-1"),  # rank-one letters
+    pytest.param(PAULI_095, 3, 2, False, id="pauli-0.95"),
+    pytest.param(PAULI_1, 4, 2, False, id="pauli-1"),  # rank-one letters
 ])
 def test_decoder_equals_public_slow_path(ch, m, n, deficient, exhaustive):
     trials, seed = 30, 5
@@ -451,11 +471,60 @@ def test_decoder_equals_public_slow_path(ch, m, n, deficient, exhaustive):
     words = [book.codewords for book, _ in pairs]
     assert any(len(np.unique(w, axis=0)) < m for w in words)  # repeated codewords
     assert any(not varying_columns(w).size for w in words)  # all-constant codebooks
+    group = SWAP if ch in (PAULI_095, PAULI_1) else None  # the letter swap, else none
+    want = np.arange(ch.alphabet_size)[None] if group is None else group
+    assert np.array_equal(_letter_symmetries(letters_of(ch)), want)
     values = {}
     for w, pe in zip(words, pes):
-        values.setdefault(orbit_key(w), []).append(pe)
+        values.setdefault(orbit_key(w, group), []).append(pe)
     assert max(map(len, values.values())) > 1
     assert all(len(set(pe)) == 1 for pe in values.values())  # bit-identical on an orbit
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("ch", [
+    *[pytest.param(channel_from_config(json.loads((CONFIGS / f"{stem}.json").read_text())),
+                   id=stem) for stem in ("pauli_mu070", "pauli_mu090", "pauli_mu095", "bsc_p010")],
+    pytest.param(PAULI_1, id="pauli-1"),
+    pytest.param(pauli_channel(1.0 - 1e-9), id="pauli-near-pure"),
+    # (I +- X/2)/2: only the sign flip diag(1, -1) maps one letter onto the other
+    pytest.param(pair_channel(DensityOperator(np.array([[0.5, 0.25], [0.25, 0.5]])),
+                              DensityOperator(np.array([[0.5, -0.25], [-0.25, 0.5]]))),
+                 id="sign-flip"),
+])
+def test_letter_swap_is_found(ch):
+    assert np.array_equal(_letter_symmetries(letters_of(ch)), SWAP)
+    assert np.array_equal(_letter_symmetries(letters_of(ch).real), SWAP)  # as the decoder reads
+
+
+@pytest.mark.parametrize("seed, k, d", [(1, 3, 2), (2, 3, 2), (2, 3, 3), (3, 2, 2), (4, 3, 2),
+                                        (6, 3, 3)])
+def test_random_channels_have_no_letter_symmetry(seed, k, d):
+    ch = random_channel(np.random.default_rng(seed), k, d)
+    assert np.array_equal(_letter_symmetries(letters_of(ch)), [list(range(k))])
+
+
+def test_letter_symmetries_are_exact():
+    letters = letters_of(pauli_channel(0.95)).real
+    letters[1, 0, 0] = np.nextafter(letters[1, 0, 0], 1.0)  # one ulp off the swapped letter
+    assert np.array_equal(_letter_symmetries(letters), [[0, 1]])
+    # equal letters give the identity alone
+    assert np.array_equal(_letter_symmetries(letters_of(identical_channel(3))), [[0, 1, 2]])
+
+
+def test_symmetric_dmc_has_every_letter_permutation():
+    w = np.full((3, 3), 0.1) + 0.7 * np.eye(3)
+    found = _letter_symmetries(letters_of(from_classical_dmc(w, None)))
+    assert found.tolist() == sorted(map(list, itertools.permutations(range(3))))
+
+
+@pytest.mark.parametrize("d, found", [(4, SWAP), (5, [[0, 1]])])
+def test_letter_symmetries_are_searched_up_to_dimension_four(d, found):
+    sigma = random_density(np.random.default_rng(7), d).matrix
+    swapped = sigma[[1, 0, *range(2, d)]][:, [1, 0, *range(2, d)]]  # a transposition
+    assert np.array_equal(_letter_symmetries(np.array([sigma, swapped])), found)
 
 
 @pytest.mark.xfail(strict=True, reason="near-pure letters: the SUPPORT_TOL cut on the state "
@@ -524,16 +593,19 @@ def test_one_codebook_memory_cap(monkeypatch, exhaustive):
     real = pauli_channel(0.95)  # every letter is real: 8-byte entries
     complex_ch = random_channel(np.random.default_rng(3), 2, 2)  # 16-byte entries
     monkeypatch.setattr("cqexp.ensemble.BOOK_BYTES_CAP", 2 * 4 ** 2 * 8)  # M=2, n=2, real
-    # product states exactly at the cap; two draws are priced 2 (16 M n + 60) = 248 bytes
-    _decode_ensemble(real, 2, 2, exhaustive=exhaustive, trials=2)
+    # product states exactly at the cap; one draw is priced 24 M n + 125 = 221 bytes
+    _decode_ensemble(real, 2, 2, exhaustive=exhaustive, trials=1)
 
     def no_draw(*_, **__):
         raise AssertionError("codebooks were drawn or enumerated")
 
     monkeypatch.setattr("cqexp.ensemble._codeword_chunks", no_draw)
-    if not exhaustive:  # three draws' codewords alone (96 bytes) would fit
-        with pytest.raises(ValueError, match="3 draws of 2 x 2 codewords take 372 bytes, over"):
-            _decode_ensemble(real, 2, 2, exhaustive=False, trials=3)
+    if not exhaustive:  # three draws' codewords alone (96 bytes) would fit, and two draws
+        # without their orbit keys (2 (16 M n + 60) = 248 bytes)
+        for trials, held in ((2, 442), (3, 663)):
+            with pytest.raises(ValueError,
+                               match=f"{trials} draws of 2 x 2 codewords take {held} bytes, over"):
+                _decode_ensemble(real, 2, 2, exhaustive=False, trials=trials)
     for ch, m in ((real, 3), (complex_ch, 2)):
         with pytest.raises(ValueError, match="over the cap 256"):
             _decode_ensemble(ch, m, 2, exhaustive=exhaustive, trials=3)
