@@ -28,14 +28,6 @@ import sys
 import numpy as np
 
 from .channels import _numbers, channel_from_config
-from .ensemble import _json_real, run_ensemble
-from .exponents import (
-    channel_thresholds,
-    ex_function,
-    overlap_exponent_half_var,
-    overlap_exponent_mean,
-    sweep,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -163,6 +155,8 @@ def _json_text(doc: dict) -> str:
 
 
 def cmd_exponents(args) -> int:
+    from .exponents import sweep
+
     channel, run = _load_channel(args)
     lines = [CSV_HEADER]
     for p in sweep(channel, _rates(run)):
@@ -175,6 +169,9 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
+    from .exponents import (_json_real, channel_thresholds, ex_function,
+                            overlap_exponent_half_var, overlap_exponent_mean)
+
     channel, _ = _load_channel(args)
     th = channel_thresholds(channel)
     doc = {
@@ -202,6 +199,8 @@ def _param(run: dict, key: str, convert):
 
 def cmd_simulate(args) -> int:
     """run_ensemble on the given run keys (null is not given), so it holds every default."""
+    from .ensemble import run_ensemble
+
     channel, run = _load_channel(args)
     given = {key: _param(run, key, convert) for key, convert in (
         ("m", _integer), ("n", _integer), ("exhaustive", _boolean), ("trials", _integer),

@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .channels import CQChannel
-from .exponents import _check_gamma, e0, ex_function
+from .exponents import _check_gamma, _json_real, e0, ex_function
 from .qlinalg import DensityOperator, DIM_CAP, _eigh, _reject_drift, hermitian_eig, kron
 
 ENUM_CAP = 2 ** 20
@@ -127,10 +127,6 @@ class EnsembleReport:
                 for r, c in self.markov_checks
             ]
         return doc
-
-
-def _json_real(x: float) -> float | str:
-    return "inf" if math.isinf(x) else float(x)
 
 
 def _check_dims(channel: CQChannel, n: int) -> None:
@@ -433,8 +429,9 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
 
     Exhaustive mode enumerates every codebook and weights by its product
     probability; expectations are exact and verdicts use slack 1e-12.
-    Monte-Carlo mode draws ``trials`` codebooks (one sub-seed per trial
-    derived from ``seed`` >= 0) and verdicts allow three standard errors.
+    Monte-Carlo mode draws ``trials`` >= 2 codebooks (one sub-seed per trial
+    derived from ``seed`` >= 0) and verdicts allow three standard errors; one
+    draw is refused, as its sample variance, and so its slack, is 0.
     With ``gamma`` (exhaustive mode only) the report also carries, for each r,
     the exact quantile check P[P_e >= (gamma E[P_e^(1/r)])^r] against 1/gamma.
     A bound or threshold whose r-th power overflows a float is +inf; a threshold
@@ -447,6 +444,9 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
         raise ValueError(f"tilt orders must be distinct as printed (%g), got {r_list}")
     if seed < 0:
         raise ValueError(f"'seed' must be a non-negative integer, got {seed}")
+    if not exhaustive and (trials is None or trials < 2):
+        raise ValueError(f"Monte-Carlo mode needs trials >= 2 (or pass exhaustive=True), "
+                         f"got {trials}: one draw has no spread to set its verdicts' slack")
     if gamma is not None:
         if not exhaustive:
             raise ValueError("the quantile check (gamma) needs exhaustive enumeration: it is exact")
@@ -461,7 +461,7 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
         if exhaustive:
             slack = EXACT_SLACK
         else:
-            var = float(weights @ (tilted - mean) ** 2) * trials / max(trials - 1, 1)
+            var = float(weights @ (tilted - mean) ** 2) * trials / (trials - 1)
             # delta method: d(x^r)/dx at the tilted mean scales the 3-sigma slack
             slack = MC_SIGMAS * math.sqrt(var / trials) * r * mean ** (r - 1.0)
         return mean, BoundCheck(name, bound, mean ** r, slack)

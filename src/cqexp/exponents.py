@@ -89,6 +89,11 @@ class ChannelThresholds:
     r_inf: float
 
 
+def _json_real(x: float) -> float | str:
+    """x for a JSON document, with +inf written "inf"."""
+    return "inf" if math.isinf(x) else float(x)
+
+
 def _refuse_outside(raw, x: np.ndarray, ok: np.ndarray, rule: str) -> None:
     """Raise ValueError(rule) naming a scalar ``raw``, or else the first entry of x not ok."""
     if not ok.all():

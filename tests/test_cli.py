@@ -1,12 +1,17 @@
 """Command-line interface: output formats, flag handling, exit codes."""
 
+import importlib
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cqexp
 from cqexp import (
     BoundCheck,
     EnsembleReport,
@@ -344,7 +349,7 @@ def test_simulate_failed_verdict_exit_code(tmp_path, monkeypatch):
         bound_checks=(BoundCheck(name="mean_error_bound", bound=0.5,
                                  empirical=0.9, slack=0.0),),
     )
-    monkeypatch.setattr(cli, "run_ensemble", lambda *a, **k: fake)
+    monkeypatch.setattr("cqexp.ensemble.run_ensemble", lambda *a, **k: fake)
     cfg = write_config(tmp_path, PAULI_DOC)
     out = tmp_path / "report.json"
     code = cli.main(["simulate", "--config", cfg, "--m", "2", "--n", "1",
@@ -352,6 +357,17 @@ def test_simulate_failed_verdict_exit_code(tmp_path, monkeypatch):
     assert code == 2
     report = json.loads(out.read_text())
     assert report["bound_checks"][0]["verdict"] == "FAIL"
+
+
+def test_simulate_refuses_one_draw(tmp_path, capsys, monkeypatch):
+    # one draw has sample variance 0, so its verdicts would have no slack at all
+    monkeypatch.setattr("cqexp.ensemble._pgm_errors",
+                        lambda states: pytest.fail("a codebook was decoded before the refusal"))
+    cfg = write_config(tmp_path, PAULI_DOC)
+    assert cli.main(["simulate", "--config", cfg, "--m", "2", "--n", "6", "--trials", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "trials >= 2" in err
 
 
 def test_simulate_bad_r_list(tmp_path, capsys):
@@ -519,3 +535,63 @@ def test_help_still_exits_0(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+# --- start-up: each subcommand loads only the modules it runs -----------------
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The cqexp modules in sys.modules after running code in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = f"import sys\n{code}\nprint(' '.join(m for m in sys.modules if m.startswith('cqexp')))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT, check=True,
+                          capture_output=True, text=True)
+    return set(done.stdout.split())
+
+
+BASE_MODULES = {"cqexp", "cqexp.qlinalg", "cqexp.search", "cqexp.channels", "cqexp.cli"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["validate"], set()),
+    (["thresholds"], {"cqexp.exponents"}),
+    (["exponents", "--grid", "0:0.5:3"], {"cqexp.exponents"}),
+    (["simulate", "--m", "2", "--n", "1", "--exhaustive"], {"cqexp.exponents", "cqexp.ensemble"}),
+])
+def test_subcommand_loads_only_its_modules(tmp_path, argv, extra):
+    cfg, out = write_config(tmp_path, PAULI_DOC), str(tmp_path / "out")
+    call = argv[:1] + ["--config", cfg, "--out", out] + argv[1:]
+    assert _loaded_after(f"from cqexp import cli\nassert cli.main({call!r}) == 0") == \
+        BASE_MODULES | extra
+
+
+def test_bare_import_loads_no_submodule():
+    assert _loaded_after("import cqexp") == {"cqexp"}
+
+
+def test_public_names_are_their_home_objects():
+    for name in cqexp.__all__:
+        home = importlib.import_module(f"cqexp.{cqexp._HOMES[name]}")
+        assert getattr(cqexp, name) is vars(home)[name], name
+
+
+def test_public_name_follows_its_home_module(monkeypatch):
+    # a tracer or a test that patches the home module is seen through the package too
+    original = cqexp.sweep
+    with monkeypatch.context() as patch:
+        patch.setattr("cqexp.exponents.sweep", lambda *a: None)
+        assert cqexp.sweep is not original and cqexp.sweep is cqexp.exponents.sweep
+    assert cqexp.sweep is original
+
+
+def test_star_import_and_dir_cover_all():
+    namespace = {}
+    exec("from cqexp import *", namespace)
+    assert all(namespace[name] is getattr(cqexp, name) for name in cqexp.__all__)
+    assert set(dir(cqexp)) >= set(cqexp.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'cqexp' has no attribute 'no_such_name'"):
+        cqexp.no_such_name
+    assert not hasattr(cqexp, "no_such_name")

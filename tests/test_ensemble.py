@@ -4,7 +4,10 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -674,6 +677,38 @@ def test_run_ensemble_validation(monkeypatch):
         run_ensemble(ch, 2, 2, trials=100, r_list=(1.0000001, 1.0000002))
     with pytest.raises(ValueError, match="distinct"):
         run_ensemble(ch, 2, 2, exhaustive=True, r_list=(1.0, 4.0, 4))
+
+
+def test_monte_carlo_refuses_one_draw(monkeypatch):
+    # one draw has sample variance 0, so three standard errors of slack are 0 and the
+    # verdict would rest on a single codebook: seed 13 gave a FAIL that way
+    ch = pauli_channel(0.95)
+    with monkeypatch.context() as patch:
+        patch.setattr("cqexp.ensemble._pgm_errors",
+                      lambda states: pytest.fail("a codebook was decoded before the refusal"))
+        for trials in (None, 0, 1):
+            with pytest.raises(ValueError, match=f"trials >= 2 .*got {trials}"):
+                run_ensemble(ch, 2, 6, trials=trials, seed=13)
+    assert run_ensemble(ch, 2, 6, trials=2, seed=13).trials == 2
+
+
+def test_monte_carlo_memory_stays_within_its_price():
+    # ru_maxrss growth of one 50,000-draw run, after a warm-up run, in a fresh interpreter
+    m, n, trials = 2, 1, 50_000
+    probe = f"""
+import resource, sys
+from cqexp import channel_from_config, run_ensemble
+ch = channel_from_config({{"kind": "pauli", "mu": 0.95}})
+run_ensemble(ch, {m}, {n}, trials=100)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run_ensemble(ch, {m}, {n}, trials={trials})
+unit = 1 if sys.platform == "darwin" else 1024  # bytes on macOS, KiB on Linux
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * unit)
+"""
+    env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    assert int(done.stdout) <= 2 * trials * (24 * m * n + 125)
 
 
 def test_run_ensemble_infinite_exponent_samples():
