@@ -154,20 +154,82 @@ def _symbols(codewords) -> np.ndarray:
     return words
 
 
+def _entropy(seed) -> np.ndarray:
+    """(1, w) uint32 words of a seed, least significant first, as SeedSequence reads it;
+    anything but a non-negative integer (a bool included) is refused."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"'seed' must be a non-negative integer, got {seed!r}")
+    words = range(0, max(int(seed).bit_length(), 1), 32)
+    return np.array([[int(seed) >> s & 0xFFFFFFFF for s in words]], dtype=np.uint32)
+
+
+def _seed_states(entropy: np.ndarray, words: int) -> np.ndarray:
+    """(T, words) uint32: SeedSequence(e).generate_state(words) for each row e of a (T, w)
+    uint32 entropy array, in lockstep.  Every step wraps mod 2**32 as numpy's does."""
+    fold = lambda x: x ^ (x >> 16)  # noqa: E731
+    hashed = lambda value, consts: fold((value ^ consts[0]) * consts[1])  # noqa: E731
+    mixed = lambda x, y: fold(x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715))  # noqa: E731
+
+    def powers(first, mult, count):  # first * mult**i mod 2**32, i = 0 .. count
+        return np.cumprod(np.r_[first, np.full(count, mult)].astype(np.uint32), dtype=np.uint32)
+
+    entropy = np.pad(entropy, ((0, 0), (0, max(0, 4 - entropy.shape[1]))))  # zeros hash alike
+    consts = powers(0x43B0D7E5, 0x931E8875, 4 * entropy.shape[1] + 12)
+    calls = zip(consts, consts[1:])  # hashmix's constant before and after its update
+    pool = [hashed(entropy[:, i], next(calls)) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):  # late words reach early ones
+        pool[dst] = mixed(pool[dst], hashed(pool[src], next(calls)))
+    for src, dst in itertools.product(range(4, entropy.shape[1]), range(4)):  # words past 4
+        pool[dst] = mixed(pool[dst], hashed(entropy[:, src], next(calls)))
+    consts = powers(0x8B51F9DD, 0x58F38DED, words)
+    state = np.tile(np.stack(pool, axis=1), -(-words // 4))[:, :words]  # in place: one copy held
+    state ^= consts[:-1]
+    state *= consts[1:]
+    state ^= state >> 16
+    return state
+
+
+def _uniforms(entropy: np.ndarray, count: int) -> np.ndarray:
+    """(T, count) doubles: default_rng(e).random(count) for each row e of a (T, w) uint32
+    entropy array.  PCG64 (XSL-RR output) is seeded from generate_state(4, uint64) and
+    stepped on (hi, lo) uint64 lanes; each double is (next64 >> 11) 2**-53."""
+    def plus(a, b):
+        lo = a[1] + b[1]
+        return a[0] + b[0] + (lo < b[1]), lo
+
+    def step(hi, lo):  # (hi, lo) * 0x2360ed051fc65da44385df649fccf645 + inc, mod 2**128
+        a0, a1, b0, b1 = lo & 0xFFFFFFFF, lo >> 32, 0x9FCCF645, 0x4385DF64
+        p01, p10 = a0 * b1, a1 * b0
+        mid = (a0 * b0 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)
+        carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)  # high word of lo * mult
+        return plus((carry + lo * 0x2360ED051FC65DA4 + hi * 0x4385DF649FCCF645,
+                     lo * 0x4385DF649FCCF645), inc)
+
+    init_hi, init_lo, seq_hi, seq_lo = _seed_states(entropy, 8).astype("<u4").view("<u8").T
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    state = step(*plus(inc, (init_hi, init_lo)))  # from 0: step (to inc), add, step
+    out = np.empty((count, len(entropy)))
+    for row in out:
+        hi, lo = state = step(*state)
+        x, rot = hi ^ lo, hi >> 58
+        row[:] = ((x >> rot | x << ((64 - rot) & 63)) >> 11) * 2.0 ** -53
+    return out.T
+
+
 def _codeword_chunks(channel: CQChannel, m: int, n: int, chunk: int,
                      seeds=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(B, M, n) int64 codeword arrays, B <= chunk, with their (B,) weights: each codebook
     in itertools.product order (its index's mixed-radix digits) with its probability, or
-    per seed default_rng(seed).choice(k, (M, n), p=Q), weighted 1/len(seeds).  The caller
-    validates m and n; the enumeration refuses more than ENUM_CAP codebooks when it starts."""
+    per uint32 seed, or (T, w) entropy row, the default_rng(seed).choice(k, (M, n), p=Q) that
+    _uniforms draws a chunk at a time, weighted 1/len(seeds).  The caller validates m and n;
+    the enumeration refuses more than ENUM_CAP codebooks when it starts."""
     k, q = channel.alphabet_size, channel.q.probabilities
-    if seeds is not None:  # as choice draws: each seed's random((M, n)) in the inverse CDF
-        uniforms, cdf = np.empty((len(seeds), m, n)), np.cumsum(q)
-        for row, s in zip(uniforms, seeds):
-            np.random.default_rng(s).random(out=row)
-        drawn = np.searchsorted(cdf / cdf[-1], uniforms, side="right")
-        for lo in range(0, len(seeds), chunk):
-            yield drawn[lo:lo + chunk], np.full(len(drawn[lo:lo + chunk]), 1.0 / len(seeds))
+    if seeds is not None:
+        entropy, cdf = np.asarray(seeds, dtype=np.uint32).reshape(len(seeds), -1), np.cumsum(q)
+        for lo in range(0, len(entropy), chunk):
+            uniforms = _uniforms(entropy[lo:lo + chunk], m * n).reshape(-1, m, n)
+            drawn = np.searchsorted(cdf / cdf[-1], uniforms, side="right")
+            yield drawn, np.full(len(drawn), 1.0 / len(entropy))
         return
     if k ** (m * n) > ENUM_CAP:
         raise ValueError(f"enumeration space {k}**{m * n} exceeds the cap 2**20")
@@ -178,9 +240,11 @@ def _codeword_chunks(channel: CQChannel, m: int, n: int, chunk: int,
 
 
 def sample_codebook(channel: CQChannel, m: int, n: int, seed: int) -> Codebook:
-    """Draw M codewords of length n i.i.d. from Q, reproducibly from the seed."""
+    """Draw M codewords of length n i.i.d. from Q as default_rng(seed).choice(k, (M, n), p=Q)
+    does, from numpy's stream computed in integer arithmetic; the seed is a non-negative int."""
+    entropy = _entropy(seed)
     _check_book(channel, m, n)
-    (words,), _ = next(_codeword_chunks(channel, m, n, 1, [seed]))
+    (words,), _ = next(_codeword_chunks(channel, m, n, 1, entropy))
     return Codebook(m=m, n=n, codewords=words, provenance=("sampled", int(seed)))
 
 
@@ -349,13 +413,14 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     if book_bytes > BOOK_BYTES_CAP:
         raise ValueError(f"the {m} product states of one codebook take {book_bytes} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
-    # all drawn before decoding; per trial a seed, uniforms, codewords, an orbit index, a weight,
-    # P_e, an exponent sample (float, tuple slot), a reps key (8 M n bytes, 33 header, 32 slot)
+    # held to the end, per trial: a seed, an orbit index, a weight, P_e, an exponent sample
+    # (float, tuple slot), a reps key (8 M n bytes, 33 header, 32 slot); the uniforms, codewords
+    # and generator lanes are drawn a chunk at a time, within the 16 M n bytes kept beyond that
     if not exhaustive and (held := trials * (24 * m * n + 125)) > BOOK_BYTES_CAP:
         raise ValueError(f"{trials} draws of {m} x {n} codewords take {held} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
     group = _letter_symmetries(letters)
-    seeds = None if exhaustive else np.random.SeedSequence(seed).generate_state(trials)
+    seeds = None if exhaustive else _seed_states(_entropy(seed), trials)[0]
     reps, orbits, weights = {}, [], []  # representative bytes -> orbit index
     for words, weight in _codeword_chunks(channel, m, n, max(1, DECODE_CHUNK_BYTES // (m * n * 8)),
                                           seeds):
@@ -442,8 +507,7 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
         raise ValueError(f"tilt orders must be finite and >= 1, got {r_list}")
     if len({f"{r:g}" for r in r_list}) < len(r_list):  # the report keys orders by %g
         raise ValueError(f"tilt orders must be distinct as printed (%g), got {r_list}")
-    if seed < 0:
-        raise ValueError(f"'seed' must be a non-negative integer, got {seed}")
+    _entropy(seed)  # refuses a seed that is not a non-negative integer
     if not exhaustive and (trials is None or trials < 2):
         raise ValueError(f"Monte-Carlo mode needs trials >= 2 (or pass exhaustive=True), "
                          f"got {trials}: one draw has no spread to set its verdicts' slack")

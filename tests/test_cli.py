@@ -540,10 +540,11 @@ def test_help_still_exits_0(capsys, argv):
 # --- start-up: each subcommand loads only the modules it runs -----------------
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The cqexp modules in sys.modules after running code in a fresh interpreter."""
+def _loaded_after(code: str, package: str = "cqexp") -> set[str]:
+    """The package's modules in sys.modules after running code in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    probe = f"import sys\n{code}\nprint(' '.join(m for m in sys.modules if m.startswith('cqexp')))"
+    names = f"' '.join(m for m in sys.modules if m.startswith({package!r}))"
+    probe = f"import sys\n{code}\nprint({names})"
     done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT, check=True,
                           capture_output=True, text=True)
     return set(done.stdout.split())
@@ -563,6 +564,15 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, extra):
     call = argv[:1] + ["--config", cfg, "--out", out] + argv[1:]
     assert _loaded_after(f"from cqexp import cli\nassert cli.main({call!r}) == 0") == \
         BASE_MODULES | extra
+
+
+@pytest.mark.parametrize("mode", [["--trials", "20"], ["--exhaustive"]])
+def test_simulate_never_loads_numpy_random(tmp_path, mode):
+    # the Monte-Carlo stream is computed in the package; numpy.random is only its test oracle
+    cfg, out = write_config(tmp_path, PAULI_DOC), str(tmp_path / "out")
+    call = ["simulate", "--config", cfg, "--out", out, "--m", "2", "--n", "2", *mode]
+    assert _loaded_after(f"from cqexp import cli\nassert cli.main({call!r}) == 0",
+                         "numpy.random") == set()
 
 
 def test_bare_import_loads_no_submodule():

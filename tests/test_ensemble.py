@@ -6,11 +6,13 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cqexp import (
     BoundCheck,
@@ -36,9 +38,12 @@ from cqexp.ensemble import (
     RC_BOUND_GRID_POINTS,
     _codeword_chunks,
     _decode_ensemble,
+    _entropy,
     _letter_symmetries,
     _pgm_errors,
     _rc_mean_bound,
+    _seed_states,
+    _uniforms,
 )
 from helpers import (
     char_poly_eigs_2x2,
@@ -574,6 +579,46 @@ def test_monte_carlo_draws_are_generator_choice(q):
     assert np.array_equal(words, want) and words.dtype == np.int64
     assert np.array_equal(weights, np.full(150, 1.0 / 150))
     assert set(np.unique(words)) == ({0, 2} if 0.0 in q else {0, 1, 2})
+
+
+# --- the in-house stream, bit for bit against numpy.random as the oracle ---
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 200 + 12345])
+@pytest.mark.parametrize("trials", [2, 3, 5, 1000, 4097])
+def test_sub_seeds_are_seed_sequence_state(seed, trials):
+    got = _seed_states(_entropy(seed), trials)
+    want = np.random.SeedSequence(seed).generate_state(trials)
+    assert got.shape == (1, trials) and got.dtype == np.uint32
+    assert np.array_equal(got[0], want)
+
+
+@given(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=20), st.integers(1, 4),
+       st.integers(1, 6))
+def test_draws_are_generator_random(seeds, m, n):
+    seeds = np.array(seeds + [0, 2 ** 32 - 1], dtype=np.uint32)
+    want = [np.random.default_rng(int(s)).random((m, n)) for s in seeds]
+    assert np.array_equal(_uniforms(seeds[:, None], m * n).reshape(-1, m, n), want)
+
+
+@pytest.mark.parametrize("seed", [2 ** 32, 2 ** 32 + 9, 2 ** 64 + 5, 2 ** 128 + 1, 2 ** 200 + 12345,
+                                  np.uint32(7), np.int64(2 ** 40), np.uint64(2 ** 64 - 1)])
+def test_big_and_numpy_seeds_draw_generator_choice(seed):
+    ch = biased_channel(0.3, 0.7)
+    want = np.random.default_rng(seed).choice(2, size=(4, 6), p=ch.q.probabilities)
+    book = sample_codebook(ch, 4, 6, seed)
+    assert np.array_equal(book.codewords, want)
+    assert book.provenance == ("sampled", int(seed)) and type(book.provenance[1]) is int
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, "3", None])
+def test_seed_that_is_not_a_non_negative_integer_is_refused(seed):
+    ch = pauli_channel(0.9)
+    for call in (lambda: sample_codebook(ch, 2, 3, seed),
+                 lambda: run_ensemble(ch, 2, 3, trials=5, seed=seed)):
+        with pytest.raises(ValueError, match=f"'seed' must be a non-negative integer, got "
+                                             f"{re.escape(repr(seed))}$"):
+            call()
 
 
 def test_ensemble_runs_build_no_codebook(monkeypatch):
