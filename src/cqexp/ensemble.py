@@ -11,11 +11,11 @@ bound plus slack: 1e-12 when exact, three standard errors in Monte-Carlo mode.
 The error of a codebook is the same on its orbit under message and position
 permutations and exact letter symmetries, and a constant column is a common tensor
 factor, so the decoder decodes one member of each orbit, on its L varying columns at
-dimension d**L (one column, error 1 - 1/M, when none varies), and scatters it back.
+dimension d**L (none when no column varies: error 1 - 1/M), and scatters it back.
 
 Caps: product-state dimension d**n <= 4096, exhaustive enumeration |X|**(M n) <= 2**20,
 2**30 bytes of a codebook's product states at dimension d**n or of a Monte-Carlo run's
-draws (trials (24 M n + 125)), 256 KiB per chunk, 4 MiB per table of distinct words.
+draws (trials (8 M n + 125)), 256 KiB per chunk, 4 MiB per table of distinct words.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .qlinalg import DensityOperator, DIM_CAP, _eigh, _reject_drift, hermitian_e
 ENUM_CAP = 2 ** 20
 BOOK_BYTES_CAP = 2 ** 30  # product states of one codebook (M D^2 itemsize); a run's draws
 DECODE_CHUNK_BYTES = 2 ** 18  # product states, or codewords, held at once (one codebook at least)
-_TABLE_BYTES = 2 ** 22  # distinct-word product states held at once (one codebook at least)
+_TABLE_BYTES = 2 ** 22  # distinct-word product states of one table (one codebook's at least)
 SUPPORT_TOL = 1e-10  # eigenvalues of the state sum below this are not inverted
 EXACT_SLACK = 1e-12
 MC_SIGMAS = 3.0
@@ -363,15 +363,12 @@ def _letter_symmetries(letters: np.ndarray) -> np.ndarray:
 def _orbit_members(words: np.ndarray, group: np.ndarray) -> np.ndarray:
     """One member of each (M, n) codebook's orbit under message and position permutations
     and the letter symmetries ``group`` on any column, in a (B, M, n) stack: constant columns
-    become -1 (an all-constant book keeps its lowest-symbol column).  Unless the group is the
+    become -1 (an all-constant book becomes all -1, of width 0).  Unless the group is the
     identity, the message whose sorted distances to the others are least goes first and each
     column becomes its least image, first entry first; then the columns and the rows are
     sorted twice, each keyed first by its sorted entries, which the other sort cannot change."""
     m = words.shape[1]
-    const = (words == words[:, :1]).all(axis=1)
-    lone = const.all(axis=1)
-    const[lone, words[lone, 0].view(np.uint64).argmin(axis=1)] = False  # -1 reads largest
-    words = np.where(const[:, None, :], -1, words)
+    words = np.where((words == words[:, :1]).all(axis=1)[:, None, :], -1, words)
     if len(group) > 1:  # distances between messages do not change under the symmetries
         far = np.sort(sum(c[:, :, None] != c[:, None] for c in np.moveaxis(words, 2, 0)), axis=2)
         first = np.lexsort(np.flip(far, 2).transpose(2, 0, 1))[:, :1]
@@ -389,7 +386,7 @@ def _orbit_members(words: np.ndarray, group: np.ndarray) -> np.ndarray:
 
 
 def _member_ids(members: np.ndarray, reps: dict) -> np.ndarray:
-    """The index of each (M, n) member in ``reps`` (member bytes -> index), new ones appended."""
+    """Index of each row (an (M, n) member or an L-letter word) in ``reps``, new ones appended."""
     keys = members.reshape(len(members), -1).view(f"V{members[0].size * 8}").ravel().tolist()
     return np.array([reps.setdefault(key, len(reps)) for key in keys])
 
@@ -399,12 +396,11 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     """Decode each enumerated (or drawn) codebook; return codebook probabilities and
     average errors.  P_e is the same on a codebook's orbit, so each codebook is mapped by
     _orbit_members, each distinct member once more under the letter symmetries, and each
-    final member decoded once, on its L varying columns at dimension d**L.  Each distinct
-    L-letter word's product state is built once from the validated letters (real when every
-    letter is) into a table of at most _TABLE_BYTES (one codebook at least; else one per block
-    of representatives), and gathered from it in chunks of DECODE_CHUNK_BYTES of states."""
-    if not exhaustive and (trials is None or trials < 1):
-        raise ValueError("Monte-Carlo mode needs trials >= 1 (or pass exhaustive=True)")
+    final member decoded once, on its L varying columns at dimension d**L; the all-constant
+    member (L = 0) has P_e = 1 - 1/M exactly.  Each distinct L-letter word's product state is
+    built once from the validated letters (real when every letter is) into one table when all
+    k**L words fit in _TABLE_BYTES, else one per block of members whose M words each fit (one
+    member at least), and gathered from it in chunks of DECODE_CHUNK_BYTES of states."""
     _check_book(channel, m, n)
     letters = np.array([s.matrix for s in channel.states])  # (k, d, d)
     if not letters.imag.any():
@@ -414,9 +410,9 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
         raise ValueError(f"the {m} product states of one codebook take {book_bytes} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
     # held to the end, per trial: a seed, an orbit index, a weight, P_e, an exponent sample
-    # (float, tuple slot), a reps key (8 M n bytes, 33 header, 32 slot); the uniforms, codewords
-    # and generator lanes are drawn a chunk at a time, within the 16 M n bytes kept beyond that
-    if not exhaustive and (held := trials * (24 * m * n + 125)) > BOOK_BYTES_CAP:
+    # (float, tuple slot), a reps key (8 M n bytes, 33 header, 32 slot); the uniforms,
+    # codewords and generator lanes are drawn a chunk at a time
+    if not exhaustive and (held := trials * (8 * m * n + 125)) > BOOK_BYTES_CAP:
         raise ValueError(f"{trials} draws of {m} x {n} codewords take {held} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
     group = _letter_symmetries(letters)
@@ -434,28 +430,24 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
                                  for lo in range(0, len(members), step)])[orbits]
         members = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n)
     widths = (members[:, 0] >= 0).sum(axis=1)
-    pes = np.empty(len(reps))
-    for width in set(widths.tolist()):  # not np.unique, whose first call imports numpy.ma
+    pes = np.full(len(reps), 1.0 - 1.0 / m)  # the all-constant member, of width 0
+    for width in set(widths.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma
         todo = np.flatnonzero(widths == width)
         word_bytes = channel.dim ** (2 * width) * letters.itemsize
         step = max(1, DECODE_CHUNK_BYTES // (m * word_bytes))
-        room = max(m, _TABLE_BYTES // word_bytes)  # words per table: one codebook at least
-        keys = np.ascontiguousarray(members[todo, :, n - width:]).view(f"V{width * 8}")[..., 0]
-        tables, starts, ids = [{}], [0], np.empty((len(todo), m), dtype=np.int64)
-        for i, row in enumerate(keys.tolist()):  # word bytes -> row of its block's table
-            if len(tables[-1]) + len(set(row).difference(tables[-1])) > room:
-                tables.append({})
-                starts.append(i)
-            ids[i] = [tables[-1].setdefault(word, len(tables[-1])) for word in row]
-        for table, block in zip(tables, np.split(np.arange(len(todo)), starts[1:])):
+        block = (len(todo) if len(letters) ** width * word_bytes <= _TABLE_BYTES
+                 else max(1, _TABLE_BYTES // (m * word_bytes)))  # members per table
+        for rows in np.split(todo, range(block, len(todo), block)):
+            table = {}  # word bytes -> row of the table
+            ids = _member_ids(members[rows, :, n - width:].reshape(-1, width), table).reshape(-1, m)
             words = np.frombuffer(b"".join(table), dtype=np.int64).reshape(len(table), width)
             states = letters[words[:, 0]]
             for col in range(1, width):  # Kronecker chain, left to right as in product_state
                 right = letters[words[:, col]][:, None, :, None, :]
                 outer = states[:, :, None, :, None] * right
                 states = outer.reshape(len(words), outer.shape[1] * outer.shape[2], -1)
-            for part in np.split(block, range(step, len(block), step)):
-                pes[todo[part]] = _pgm_errors(states[ids[part]])
+            for lo in range(0, len(rows), step):
+                pes[rows[lo:lo + step]] = _pgm_errors(states[ids[lo:lo + step]])
     return np.concatenate(weights), pes[orbits]
 
 
@@ -542,7 +534,7 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
             markov_checks.append((r, BoundCheck(f"markov_bound_r{r:g}", 1.0 / gamma, mass,
                                                 EXACT_SLACK)))
 
-    samples = tuple(-math.log2(p) / n if p > 0.0 else math.inf for p in pes)
+    samples = tuple(-math.log2(p) / n if p > 0.0 else math.inf for p in pes.tolist())
     return EnsembleReport(
         decoder="pgm",
         m=m, n=n,

@@ -404,12 +404,10 @@ def test_decoding_builds_each_product_state_once(monkeypatch):
     report = run_ensemble(ch, m, n, exhaustive=True, gamma=4.0)
     assert words == []  # products come from the channel's validated matrices
     books = [book.codewords for book, _ in enumerate_codebooks(ch, m, n)]
-    # the orbit members a slice may hold: the varying columns, or one column of an
-    # all-constant codebook, in every message and position order, and with the letter
-    # swap on any set of columns
+    # the orbit members a slice may hold: the varying columns, in every message and position
+    # order, and with the letter swap on any set of columns; all-constant codebooks have none
     members = [SWAP[flips, part[list(rows)][:, list(cols)]]
-               for w in books
-               for part in ([varying_columns(w)] if varying_columns(w).size else np.split(w, n, 1))
+               for part in map(varying_columns, books) if part.size
                for rows in itertools.permutations(range(m))
                for cols in itertools.permutations(range(part.shape[1]))
                for flips in itertools.product((0, 1), repeat=part.shape[1])]
@@ -418,10 +416,11 @@ def test_decoding_builds_each_product_state_once(monkeypatch):
         member = next(w for w in members
                       if np.array_equal(states, [product_state(ch, c).matrix for c in w]))
         orbits.append(orbit_key(member, SWAP))
-    # one slice per representative: 3 for the 16 codebooks, 5 without the swap
-    assert len(set(orbits)) == len(decoded) == 3
+    # one slice per representative: 2 for the 12 codebooks with a varying column, 3 without
+    # the swap; the 4 all-constant codebooks are not decoded
+    assert len(set(orbits)) == len(decoded) == 2
     assert ({orbit_key(varying_columns(w), SWAP) for w in books if varying_columns(w).size}
-            <= set(orbits))
+            == set(orbits))
     monkeypatch.undo()
 
     def slow_decode(channel, m, n, **_):
@@ -569,6 +568,33 @@ def test_decoding_is_chunking_invariant(monkeypatch, ch, exhaustive, chunk_bytes
         assert np.array_equal(pes, default[1])
 
 
+def test_wide_members_decode_in_blocks_like_the_oracle(monkeypatch):
+    # at L = 7 and 8 the 2**L real words of a width take 16 and 128 MiB, over the 4 MiB
+    # table, so the members go in blocks of 8 and 2 codebooks, no budget patched; these
+    # four draws have 8, 7, 8 and 8 varying columns, so width 8 takes two blocks
+    ch, m, n, trials, seed = pauli_channel(0.95), 4, 8, 4, 7
+    dims = []
+
+    def recording_pgm_errors(states):
+        dims.append(states.shape[-1])
+        return _pgm_errors(states)
+
+    monkeypatch.setattr("cqexp.ensemble._pgm_errors", recording_pgm_errors)
+    _, pes = _decode_ensemble(ch, m, n, exhaustive=False, trials=trials, seed=seed)
+    assert {128, 256} <= set(dims)
+    books = [sample_codebook(ch, m, n, int(s))
+             for s in np.random.SeedSequence(seed).generate_state(trials)]
+    expected = [error_probability(ch, book, pgm_povm(
+        [product_state(ch, w) for w in book.codewords])).average_error for book in books]
+    np.testing.assert_allclose(pes, expected, rtol=0, atol=1e-12)
+
+
+def test_all_constant_codebooks_are_exact():
+    # every codeword equal: the square-root measurement guesses, P_e = 1 - 1/M with no rounding
+    report = run_ensemble(pauli_channel(0.95), 2, 2, exhaustive=True)
+    assert [report.exponent_samples[i] for i in (0, 5, 10, 15)] == [0.5] * 4
+
+
 @pytest.mark.parametrize("q", [(0.2, 0.0, 0.8), (0.5, 0.15, 0.35)])
 def test_monte_carlo_draws_are_generator_choice(q):
     # the oracle is numpy's own choice: a numpy change that moves its stream fails here
@@ -641,7 +667,7 @@ def test_one_codebook_memory_cap(monkeypatch, exhaustive):
     real = pauli_channel(0.95)  # every letter is real: 8-byte entries
     complex_ch = random_channel(np.random.default_rng(3), 2, 2)  # 16-byte entries
     monkeypatch.setattr("cqexp.ensemble.BOOK_BYTES_CAP", 2 * 4 ** 2 * 8)  # M=2, n=2, real
-    # product states exactly at the cap; one draw is priced 24 M n + 125 = 221 bytes
+    # product states exactly at the cap; one draw is priced 8 M n + 125 = 157 bytes
     _decode_ensemble(real, 2, 2, exhaustive=exhaustive, trials=1)
 
     def no_draw(*_, **__):
@@ -649,8 +675,8 @@ def test_one_codebook_memory_cap(monkeypatch, exhaustive):
 
     monkeypatch.setattr("cqexp.ensemble._codeword_chunks", no_draw)
     if not exhaustive:  # three draws' codewords alone (96 bytes) would fit, and two draws
-        # without their orbit keys (2 (16 M n + 60) = 248 bytes)
-        for trials, held in ((2, 442), (3, 663)):
+        # without their orbit keys (2 x 60 = 120 bytes)
+        for trials, held in ((2, 314), (3, 471)):
             with pytest.raises(ValueError,
                                match=f"{trials} draws of 2 x 2 codewords take {held} bytes, over"):
                 _decode_ensemble(real, 2, 2, exhaustive=False, trials=trials)
@@ -753,7 +779,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * unit)
     env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")}
     done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True)
-    assert int(done.stdout) <= 2 * trials * (24 * m * n + 125)
+    assert int(done.stdout) <= 2 * trials * (8 * m * n + 125)
 
 
 def test_run_ensemble_infinite_exponent_samples():
