@@ -15,7 +15,7 @@ dimension d**L (none when no column varies: error 1 - 1/M), and scatters it back
 
 Caps: product-state dimension d**n <= 4096, exhaustive enumeration |X|**(M n) <= 2**20,
 2**30 bytes of a codebook's product states at dimension d**n or of a Monte-Carlo run's
-draws (trials (8 M n + 125)), 256 KiB per chunk, 4 MiB per table of distinct words.
+draws (trials (8 M (2 n + 1) + 250)), 256 KiB per chunk, 4 MiB per table of distinct words.
 """
 
 from __future__ import annotations
@@ -393,14 +393,13 @@ def _member_ids(members: np.ndarray, reps: dict) -> np.ndarray:
 
 def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = True,
                      trials: int | None = None, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Decode each enumerated (or drawn) codebook; return codebook probabilities and
-    average errors.  P_e is the same on a codebook's orbit, so each codebook is mapped by
-    _orbit_members, each distinct member once more under the letter symmetries, and each
-    final member decoded once, on its L varying columns at dimension d**L; the all-constant
-    member (L = 0) has P_e = 1 - 1/M exactly.  Each distinct L-letter word's product state is
-    built once from the validated letters (real when every letter is) into one table when all
-    k**L words fit in _TABLE_BYTES, else one per block of members whose M words each fit (one
-    member at least), and gathered from it in chunks of DECODE_CHUNK_BYTES of states."""
+    """Decode each enumerated (or drawn) codebook; return codebook probabilities and average
+    errors.  P_e is the same on a codebook's orbit, so each codebook is mapped by _orbit_members,
+    each distinct member once more under the letter symmetries, and each final member decoded
+    once, on its L varying columns at dimension d**L (none at L = 0: P_e = 1 - 1/M exactly).
+    Each distinct L-letter word's product state is built once from the validated letters (real
+    when every letter is) into one table when all k**L words fit in _TABLE_BYTES, else one per
+    block of members whose M words each fit, and gathered from it in DECODE_CHUNK_BYTES chunks."""
     _check_book(channel, m, n)
     letters = np.array([s.matrix for s in channel.states])  # (k, d, d)
     if not letters.imag.any():
@@ -409,37 +408,39 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     if book_bytes > BOOK_BYTES_CAP:
         raise ValueError(f"the {m} product states of one codebook take {book_bytes} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
-    # held to the end, per trial: a seed, an orbit index, a weight, P_e, an exponent sample
-    # (float, tuple slot), a reps key (8 M n bytes, 33 header, 32 slot); the uniforms,
-    # codewords and generator lanes are drawn a chunk at a time
-    if not exhaustive and (held := trials * (8 * m * n + 125)) > BOOK_BYTES_CAP:
+    # per trial: a distinct member as a reps key and stacked (16 M n), its table ids (8 M), and
+    # 250 for the key's header and dict entry, a seed, orbit indices, weights, P_e and its sample
+    if not exhaustive and (held := trials * (8 * m * (2 * n + 1) + 250)) > BOOK_BYTES_CAP:
         raise ValueError(f"{trials} draws of {m} x {n} codewords take {held} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
     group = _letter_symmetries(letters)
     seeds = None if exhaustive else _seed_states(_entropy(seed), trials)[0]
     reps, orbits, weights = {}, [], []  # representative bytes -> orbit index
-    for words, weight in _codeword_chunks(channel, m, n, max(1, DECODE_CHUNK_BYTES // (m * n * 8)),
-                                          seeds):
+    chunk = max(1, DECODE_CHUNK_BYTES // (m * n * 8))  # codebooks of codewords or keys at once
+    for words, weight in _codeword_chunks(channel, m, n, chunk, seeds):
         orbits.append(_member_ids(_orbit_members(words, group[:1]), reps))
         weights.append(weight)
     orbits = np.concatenate(orbits)
-    members = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n)
+    members, reps = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n), {}
     if len(group) > 1:  # letter symmetries, on distinct members only: cheaper on big ensembles
-        reps, step = {}, max(1, DECODE_CHUNK_BYTES // (m * n * 8 * len(group)))
+        step = max(1, DECODE_CHUNK_BYTES // (m * n * 8 * len(group)))
         orbits = np.concatenate([_member_ids(_orbit_members(members[lo:lo + step], group), reps)
                                  for lo in range(0, len(members), step)])[orbits]
-        members = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n)
+        del members  # not held beside the new keys and their stack
+        members, reps = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n), {}
     widths = (members[:, 0] >= 0).sum(axis=1)
-    pes = np.full(len(reps), 1.0 - 1.0 / m)  # the all-constant member, of width 0
+    pes = np.full(len(members), 1.0 - 1.0 / m)  # the all-constant member, of width 0
     for width in set(widths.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma
         todo = np.flatnonzero(widths == width)
         word_bytes = channel.dim ** (2 * width) * letters.itemsize
         step = max(1, DECODE_CHUNK_BYTES // (m * word_bytes))
         block = (len(todo) if len(letters) ** width * word_bytes <= _TABLE_BYTES
                  else max(1, _TABLE_BYTES // (m * word_bytes)))  # members per table
+        tails = members[:, :, n - width:]  # the varying columns, keyed a chunk at a time
         for rows in np.split(todo, range(block, len(todo), block)):
             table = {}  # word bytes -> row of the table
-            ids = _member_ids(members[rows, :, n - width:].reshape(-1, width), table).reshape(-1, m)
+            ids = np.concatenate([_member_ids(tails[p].reshape(-1, width), table).reshape(-1, m)
+                                  for p in np.split(rows, range(chunk, len(rows), chunk))])
             words = np.frombuffer(b"".join(table), dtype=np.int64).reshape(len(table), width)
             states = letters[words[:, 0]]
             for col in range(1, width):  # Kronecker chain, left to right as in product_state
