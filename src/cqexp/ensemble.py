@@ -8,10 +8,10 @@ the tilted-moment bound built from pairwise overlaps, and the Markov-type
 quantile bound, each as a BoundCheck, PASS iff its empirical value is at most the
 bound plus slack: 1e-12 when exact, three standard errors in Monte-Carlo mode.
 
-The error of a codebook is the same on its orbit under message and position
-permutations and exact letter symmetries, and a constant column is a common tensor
-factor, so the decoder decodes one member of each orbit, on its L varying columns at
-dimension d**L (none when no column varies: error 1 - 1/M), and scatters it back.
+The error of a codebook is the same on its orbit under message and position permutations
+and exact letter symmetries, and a constant column is a common tensor factor, so the decoder
+maps each distinct column histogram once to one orbit member and decodes each member once,
+on its L varying columns at dimension d**L (none if none varies: error 1 - 1/M).
 
 Caps: product-state dimension d**n <= 4096, exhaustive enumeration |X|**(M n) <= 2**20,
 2**30 bytes of a codebook's product states at dimension d**n or of a Monte-Carlo run's
@@ -363,19 +363,18 @@ def _letter_symmetries(letters: np.ndarray) -> np.ndarray:
 def _orbit_members(words: np.ndarray, group: np.ndarray) -> np.ndarray:
     """One member of each (M, n) codebook's orbit under message and position permutations
     and the letter symmetries ``group`` on any column, in a (B, M, n) stack: constant columns
-    become -1 (an all-constant book becomes all -1, of width 0).  Unless the group is the
-    identity, the message whose sorted distances to the others are least goes first and each
-    column becomes its least image, first entry first; then the columns and the rows are
-    sorted twice, each keyed first by its sorted entries, which the other sort cannot change."""
+    become -1 (an all-constant book becomes all -1, of width 0).  The message whose sorted
+    distances to the others (no symmetry moves them) are least goes first, each column its
+    least image, first entry first (itself under the identity alone); then the columns and
+    rows are sorted twice, each keyed first by its sorted entries, which the other sort keeps."""
     m = words.shape[1]
     words = np.where((words == words[:, :1]).all(axis=1)[:, None, :], -1, words)
-    if len(group) > 1:  # distances between messages do not change under the symmetries
-        far = np.sort(sum(c[:, :, None] != c[:, None] for c in np.moveaxis(words, 2, 0)), axis=2)
-        first = np.lexsort(np.flip(far, 2).transpose(2, 0, 1))[:, :1]
-        words = words[np.arange(len(words))[:, None], (np.arange(m) + first) % m]
-        images = np.pad(group, ((0, 0), (0, 1)), constant_values=-1)[:, words]  # (|G|, B, M, n)
-        least = np.lexsort(np.flip(images, 2).transpose(2, 0, 1, 3), axis=0)[:1, :, None]
-        words = np.take_along_axis(images, least, axis=0)[0]
+    far = np.sort(sum(c[:, :, None] != c[:, None] for c in np.moveaxis(words, 2, 0)), axis=2)
+    first = np.lexsort(np.flip(far, 2).transpose(2, 0, 1))[:, :1]
+    words = words[np.arange(len(words))[:, None], (np.arange(m) + first) % m]
+    images = np.pad(group, ((0, 0), (0, 1)), constant_values=-1)[:, words]  # (|G|, B, M, n)
+    least = np.lexsort(np.flip(images, 2).transpose(2, 0, 1, 3), axis=0)[:1, :, None]
+    words = np.take_along_axis(images, least, axis=0)[0]
     for _ in range(2):  # a third round would move members of channels with no symmetry
         for lines, entries in ((2, 1), (1, 2)):  # columns, then rows
             keys = np.concatenate([np.flip(words, entries),
@@ -394,9 +393,9 @@ def _member_ids(members: np.ndarray, reps: dict) -> np.ndarray:
 def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = True,
                      trials: int | None = None, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Decode each enumerated (or drawn) codebook; return codebook probabilities and average
-    errors.  P_e is the same on a codebook's orbit, so each codebook is mapped by _orbit_members,
-    each distinct member once more under the letter symmetries, and each final member decoded
-    once, on its L varying columns at dimension d**L (none at L = 0: P_e = 1 - 1/M exactly).
+    errors.  Each codebook is keyed by its column histogram (its columns sorted), each distinct
+    histogram is mapped once by _orbit_members, and each distinct member is decoded once, on
+    its L varying columns at dimension d**L (none at L = 0: P_e = 1 - 1/M exactly).
     Each distinct L-letter word's product state is built once from the validated letters (real
     when every letter is) into one table when all k**L words fit in _TABLE_BYTES, else one per
     block of members whose M words each fit, and gathered from it in DECODE_CHUNK_BYTES chunks."""
@@ -415,19 +414,19 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
                          f"over the cap {BOOK_BYTES_CAP}")
     group = _letter_symmetries(letters)
     seeds = None if exhaustive else _seed_states(_entropy(seed), trials)[0]
-    reps, orbits, weights = {}, [], []  # representative bytes -> orbit index
-    chunk = max(1, DECODE_CHUNK_BYTES // (m * n * 8))  # codebooks of codewords or keys at once
+    reps, orbits, weights = {}, [], []  # column histogram bytes -> histogram index
+    # codebooks of codewords or keys at once; a lane's seeding holds about 24 words (180 bytes)
+    chunk = max(1, DECODE_CHUNK_BYTES // (8 * max(m * n, 24)))
     for words, weight in _codeword_chunks(channel, m, n, chunk, seeds):
-        orbits.append(_member_ids(_orbit_members(words, group[:1]), reps))
+        columns = np.ascontiguousarray(words.swapaxes(1, 2)).view(f"V{8 * m}")  # (B, n, 1)
+        orbits.append(_member_ids(np.sort(columns, axis=1).view(np.int64).swapaxes(1, 2), reps))
         weights.append(weight)
-    orbits = np.concatenate(orbits)
+    keys, reps = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n), {}
+    step = max(1, DECODE_CHUNK_BYTES // (8 * m * max(n * len(group), m)))  # images, distances
+    orbits = np.concatenate([_member_ids(_orbit_members(keys[lo:lo + step], group), reps)
+                             for lo in range(0, len(keys), step)])[np.concatenate(orbits)]
+    del keys  # not held beside the members' keys and their stack
     members, reps = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n), {}
-    if len(group) > 1:  # letter symmetries, on distinct members only: cheaper on big ensembles
-        step = max(1, DECODE_CHUNK_BYTES // (m * n * 8 * len(group)))
-        orbits = np.concatenate([_member_ids(_orbit_members(members[lo:lo + step], group), reps)
-                                 for lo in range(0, len(members), step)])[orbits]
-        del members  # not held beside the new keys and their stack
-        members, reps = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n), {}
     widths = (members[:, 0] >= 0).sum(axis=1)
     pes = np.full(len(members), 1.0 - 1.0 / m)  # the all-constant member, of width 0
     for width in set(widths.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma

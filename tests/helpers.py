@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from functools import lru_cache
 from typing import Iterator
 
@@ -245,3 +249,21 @@ def product_codebooks(channel: CQChannel, m: int, n: int
         words = np.reshape(flat, (m, n))
         prob = float(np.prod(q[list(flat)]))
         yield Codebook(m=m, n=n, codewords=words, provenance=("enumerated", idx)), prob
+
+
+# --- memory probe ------------------------------------------------------------
+
+
+def tracemalloc_peaks(setup: str, statements) -> list[int]:
+    """Tracemalloc peak, in bytes, of each statement, run in order in a fresh interpreter
+    after ``setup``, which is not traced (imports and a warm-up run go there).  The child
+    imports cqexp from this checkout and these helpers as ``helpers``.  (ru_maxrss would not
+    do: a child starts with its parent's, here the test process's.)"""
+    traced = "".join(f"tracemalloc.start()\n{statement}\n"
+                     "print(tracemalloc.get_traced_memory()[1])\ntracemalloc.stop()\n"
+                     for statement in statements)
+    tests = pathlib.Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    done = subprocess.run([sys.executable, "-c", f"import tracemalloc\n{setup}\n{traced}"],
+                          env=env, check=True, capture_output=True, text=True)
+    return [int(line) for line in done.stdout.split()]

@@ -4,11 +4,8 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import pathlib
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -35,11 +32,13 @@ from cqexp import (
     verify_markov_bound,
 )
 from cqexp.ensemble import (
+    DECODE_CHUNK_BYTES,
     RC_BOUND_GRID_POINTS,
     _codeword_chunks,
     _decode_ensemble,
     _entropy,
     _letter_symmetries,
+    _orbit_members,
     _pgm_errors,
     _rc_mean_bound,
     _seed_states,
@@ -51,6 +50,7 @@ from helpers import (
     product_codebooks,
     random_channel,
     random_density,
+    tracemalloc_peaks,
 )
 
 
@@ -435,6 +435,29 @@ def test_decoding_builds_each_product_state_once(monkeypatch):
     assert_same_report(slow.to_json_dict(), report.to_json_dict())
 
 
+def test_each_column_histogram_is_mapped_once(monkeypatch):
+    # P_e depends on a codebook only through its column histogram (its columns sorted), so
+    # the orbit map sees each distinct histogram once, and books that share one share P_e
+    mapped = []
+
+    def recording_orbit_members(words, group):
+        mapped.append(len(words))
+        return _orbit_members(words, group)
+
+    monkeypatch.setattr("cqexp.ensemble._orbit_members", recording_orbit_members)
+    bsc = channel_from_config(json.loads((CONFIGS / "bsc_p010.json").read_text()))
+    run_ensemble(bsc, 3, 3, exhaustive=True, gamma=16.0)  # the 512 codebooks of exact-markov
+    assert sum(mapped) == math.comb(8 + 2, 3)  # 3 columns from 8 column types: 120
+    ch, m, n = pauli_channel(0.95), 2, 6
+    mapped.clear()
+    _, pes = _decode_ensemble(ch, m, n)
+    values = {}
+    for (book, _), pe in zip(product_codebooks(ch, m, n), pes):
+        values.setdefault(tuple(sorted(map(tuple, book.codewords.T))), set()).add(pe)
+    assert sum(mapped) == len(values) < 2 ** (m * n)
+    assert all(len(pe) == 1 for pe in values.values())  # bit-identical on a histogram
+
+
 def letters_of(channel) -> np.ndarray:
     return np.array([s.matrix for s in channel.states])
 
@@ -758,27 +781,51 @@ def test_monte_carlo_refuses_one_draw(monkeypatch):
 
 
 def test_monte_carlo_memory_stays_within_its_price():
-    # tracemalloc peaks of a small and a big run, after a warm-up run, in a fresh interpreter:
-    # their slope per trial leaves out the chunk-bounded transients, which both runs hold.  At
-    # M=64, n=3 almost every draw is a distinct orbit member with its own key, stack and ids.
-    # (ru_maxrss would not do: a child starts with its parent's, here the test process's.)
+    # tracemalloc peaks of a small and a big run, after a warm-up run: their slope per trial
+    # leaves out the chunk-bounded transients, which both runs hold.  At M=64, n=3 almost
+    # every draw is a distinct orbit member with its own key, stack and ids.
     for m, n, small, big in ((2, 1, 20_000, 50_000), (64, 3, 400, 1_600)):
-        probe = f"""
-import tracemalloc
-from cqexp import channel_from_config, run_ensemble
-ch = channel_from_config({{"kind": "pauli", "mu": 0.95}})
-run_ensemble(ch, {m}, {n}, trials=100)
-for trials in ({small}, {big}):
-    tracemalloc.start()
-    run_ensemble(ch, {m}, {n}, trials=trials)
-    print(tracemalloc.get_traced_memory()[1])
-    tracemalloc.stop()
-"""
-        env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")}
-        done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                              capture_output=True, text=True)
-        low, high = map(int, done.stdout.split())
+        low, high = tracemalloc_peaks(
+            "from cqexp import channel_from_config, run_ensemble\n"
+            "ch = channel_from_config({'kind': 'pauli', 'mu': 0.95})\n"
+            f"run_ensemble(ch, {m}, {n}, trials=100)",
+            [f"run_ensemble(ch, {m}, {n}, trials={trials})" for trials in (small, big)])
         assert high - low <= (big - small) * (8 * m * (2 * n + 1) + 250)
+
+
+def test_large_m_transients_stay_small():
+    # at n = 1 a run holds at most M + 1 distinct members, so its peak is nearly all chunk
+    # transients: the orbit map's (M, M) message distances, sized with its images, and the
+    # draw's lanes; with and without a letter symmetry
+    peaks = tracemalloc_peaks(
+        "import numpy as np\nfrom cqexp import run_ensemble\n"
+        "from cqexp.ensemble import _letter_symmetries\n"
+        "from helpers import pauli_channel, random_channel\n"
+        "pauli, plain = pauli_channel(0.95), random_channel(np.random.default_rng(3), 2, 2)\n"
+        "assert len(_letter_symmetries(np.array([s.matrix for s in plain.states]))) == 1\n"
+        "run_ensemble(pauli, 4, 1, trials=100)",
+        [f"run_ensemble({ch}, {m}, 1, trials=200)" for ch in ("pauli", "plain")
+         for m in (64, 128, 256)])
+    assert max(peaks) <= 4 * 2 ** 20
+
+
+def test_draw_seeding_stays_within_the_chunk_budget(monkeypatch):
+    # a lane's seeding holds about 180 bytes beside its M n doubles, so at small M n the
+    # draw chunk is sized by the seeding, not by the codewords
+    calls, real = set(), _uniforms
+    monkeypatch.setattr("cqexp.ensemble._uniforms",
+                        lambda entropy, count: calls.add((len(entropy), count))
+                        or real(entropy, count))
+    for m, n, trials in ((2, 1, 20_000), (3, 2, 20_000), (4, 6, 2_000)):
+        run_ensemble(pauli_channel(0.95), m, n, trials=trials)
+    peaks = tracemalloc_peaks(
+        "from cqexp.ensemble import _entropy, _seed_states, _uniforms\n"
+        "entropy = _seed_states(_entropy(0), 20_000)[0].reshape(-1, 1)\n"
+        "_uniforms(entropy[:100], 1)",
+        [f"_uniforms(entropy[:{lanes}], {count})" for lanes, count in sorted(calls)])
+    for (lanes, count), peak in zip(sorted(calls), peaks):
+        assert 8 * lanes * count <= DECODE_CHUNK_BYTES  # the doubles returned
+        assert peak - 8 * lanes * count <= DECODE_CHUNK_BYTES  # the seeding
 
 
 def test_run_ensemble_infinite_exponent_samples():
