@@ -385,7 +385,7 @@ def _orbit_members(words: np.ndarray, group: np.ndarray) -> np.ndarray:
 
 
 def _member_ids(members: np.ndarray, reps: dict) -> np.ndarray:
-    """Index of each row (an (M, n) member or an L-letter word) in ``reps``, new ones appended."""
+    """Index of each row (an (M, n) book or an L-letter word) in ``reps``, new ones appended."""
     keys = members.reshape(len(members), -1).view(f"V{members[0].size * 8}").ravel().tolist()
     return np.array([reps.setdefault(key, len(reps)) for key in keys])
 

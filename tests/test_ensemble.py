@@ -812,10 +812,13 @@ def test_large_m_transients_stay_small():
 def test_draw_seeding_stays_within_the_chunk_budget(monkeypatch):
     # a lane's seeding holds about 180 bytes beside its M n doubles, so at small M n the
     # draw chunk is sized by the seeding, not by the codewords
-    calls, real = set(), _uniforms
-    monkeypatch.setattr("cqexp.ensemble._uniforms",
-                        lambda entropy, count: calls.add((len(entropy), count))
-                        or real(entropy, count))
+    calls = set()
+
+    def recording_uniforms(entropy, count):
+        calls.add((len(entropy), count))
+        return _uniforms(entropy, count)
+
+    monkeypatch.setattr("cqexp.ensemble._uniforms", recording_uniforms)
     for m, n, trials in ((2, 1, 20_000), (3, 2, 20_000), (4, 6, 2_000)):
         run_ensemble(pauli_channel(0.95), m, n, trials=trials)
     peaks = tracemalloc_peaks(
