@@ -534,6 +534,7 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
             markov_checks.append((r, BoundCheck(f"markov_bound_r{r:g}", 1.0 / gamma, mass,
                                                 EXACT_SLACK)))
 
+    # math.log2: numpy's SIMD np.log2 differs in the last bit on some doubles (moves samples)
     samples = tuple(-math.log2(p) / n if p > 0.0 else math.inf for p in pes.tolist())
     return EnsembleReport(
         decoder="pgm",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqexp import (
     CQChannel,
@@ -19,7 +20,7 @@ from cqexp import (
     holevo_information,
     optimize_input,
 )
-from helpers import binary_entropy, classical_mi, pauli_channel, random_dmc
+from helpers import binary_entropy, classical_mi, pauli_channel, random_channel, random_dmc
 
 
 def test_input_distribution_uniform():
@@ -233,11 +234,37 @@ def test_optimize_input_single_symbol():
     assert value == 0.0
 
 
-def test_optimize_input_alphabet_cap():
-    states = (DensityOperator.maximally_mixed(2),) * 9
-    ch = CQChannel(states, InputDistribution.uniform(9))
-    with pytest.raises(ValueError, match="at most 8"):
-        optimize_input(ch)
+def test_optimize_input_z_channel_closed_form():
+    _, value = optimize_input(from_classical_dmc([[1.0, 0.0], [0.3, 0.7]], None))
+    assert abs(value - math.log2(1.0 + 0.7 * 0.3 ** (3.0 / 7.0))) < 1e-6
+
+
+def test_optimize_input_beats_a_simplex_grid():
+    w, _ = random_dmc(np.random.default_rng(44), 3, 3)
+    _, value = optimize_input(from_classical_dmc(w, None))
+    ticks = np.linspace(0.0, 1.0, 121)
+    best = max(classical_mi(w, [a, b, max(0.0, 1.0 - a - b)])
+               for a in ticks for b in ticks if a + b <= 1.0 + 1e-12)
+    assert value >= best - 1e-6
+
+
+@settings(max_examples=25)
+@given(st.integers(2, 5), st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
+def test_optimize_input_never_below_uniform_on_random_channels(k, d, seed):
+    ch = random_channel(np.random.default_rng(seed), k, d)
+    q_opt, value = optimize_input(ch)
+    assert value >= holevo_information(CQChannel(ch.states, None)) - 1e-12
+    assert value == holevo_information(CQChannel(ch.states, q_opt))
+
+
+def test_optimize_input_accepts_nine_symbols():
+    w, _ = random_dmc(np.random.default_rng(45), 9, 3)
+    q_opt, value = optimize_input(from_classical_dmc(w, None))
+    q = q_opt.probabilities
+    assert value >= classical_mi(w, np.full(9, 1.0 / 9)) - 1e-12
+    # classical capacity gap at the returned Q: max_x D(W(.|x) || QW) - I(Q)
+    divergences = (w * np.log2(w / (q @ w))).sum(axis=1)
+    assert divergences.max() - classical_mi(w, q) < 1e-6
 
 
 def test_config_pauli():

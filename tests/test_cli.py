@@ -550,14 +550,15 @@ def _loaded_after(code: str, package: str = "cqexp") -> set[str]:
     return set(done.stdout.split())
 
 
-BASE_MODULES = {"cqexp", "cqexp.qlinalg", "cqexp.search", "cqexp.channels", "cqexp.cli"}
+BASE_MODULES = {"cqexp", "cqexp.qlinalg", "cqexp.channels", "cqexp.cli"}
+EXPONENT_MODULES = {"cqexp.search", "cqexp.exponents"}
 
 
 @pytest.mark.parametrize("argv, extra", [
     (["validate"], set()),
-    (["thresholds"], {"cqexp.exponents"}),
-    (["exponents", "--grid", "0:0.5:3"], {"cqexp.exponents"}),
-    (["simulate", "--m", "2", "--n", "1", "--exhaustive"], {"cqexp.exponents", "cqexp.ensemble"}),
+    (["thresholds"], EXPONENT_MODULES),
+    (["exponents", "--grid", "0:0.5:3"], EXPONENT_MODULES),
+    (["simulate", "--m", "2", "--n", "1", "--exhaustive"], EXPONENT_MODULES | {"cqexp.ensemble"}),
 ])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, extra):
     cfg, out = write_config(tmp_path, PAULI_DOC), str(tmp_path / "out")
