@@ -273,17 +273,25 @@ def _numbers(value, ndim: int = 1, name: str = "value"):
         raise ValueError(f"{name} must be {kind}, got {value!r}") from None
 
 
+def _count(value, least: int, rule: str) -> None:
+    """Refuse anything but an int or numpy integer (not a bool) >= least: the one count rule."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{rule}, got {value!r}")
+
+
 def channel_from_config(doc: dict) -> CQChannel:
     """Build a channel from a configuration dictionary (see schema above)."""
     if not isinstance(doc, dict):
         raise ValueError("channel config must be a JSON object")
     kind = doc.get("kind")
-    fields = {"pauli": {"mu", "theta"}, "classical": {"w"}, "generic": {"states"}}
+    fields = {"pauli": ("mu", "theta"), "classical": ("w",), "generic": ("states",)}
     if not isinstance(kind, str) or kind not in fields:
         raise ValueError(f"unknown channel kind {kind!r} (expected pauli, classical, or generic)")
-    unknown = sorted(set(doc) - fields[kind] - {"kind", "q"})
+    unknown = sorted(set(doc) - set(fields[kind]) - {"kind", "q"})
     if unknown:
         raise ValueError(f"unknown {kind} channel keys {unknown}")
+    if fields[kind][0] not in doc:  # each kind's first field is required
+        raise ValueError(f"{kind} channel config needs '{fields[kind][0]}'")
     q = None if doc.get("q") is None else _numbers(doc["q"], 1, "'q'")
     if kind == "pauli":
         params = PauliChannelParams(
@@ -293,19 +301,21 @@ def channel_from_config(doc: dict) -> CQChannel:
         return binary_pauli(params, q)
     if kind == "classical":
         return from_classical_dmc(_numbers(doc["w"], 2, "'w'"), q)
-    raw = doc.get("states")
-    if not raw:
+    raw = doc["states"]
+    if not isinstance(raw, list) or not raw:
         raise ChannelValidationError(["generic channel config needs a non-empty 'states' list"])
     problems = []
     states = []
     for i, entry in enumerate(raw):
         try:
+            if not isinstance(entry, dict) or "re" not in entry:
+                raise ValueError(f"needs an object with 're' and optional 'im', got {entry!r}")
             if set(entry) - {"re", "im"}:
                 raise ValueError(f"unknown keys {sorted(set(entry) - {'re', 'im'})}")
             re = np.asarray(_numbers(entry["re"], 2, "'re'"))
             im = np.asarray(_numbers(entry["im"], 2, "'im'")) if "im" in entry else 0.0
             states.append(DensityOperator(re + 1j * im))
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             problems.append(f"state {i}: {exc}")
     if problems:
         raise ChannelValidationError(problems)

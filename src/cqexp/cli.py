@@ -66,7 +66,7 @@ def _load_channel(args):
                          f"holds 'channel' and {', '.join(RUN_KEYS)}")
     try:
         channel = channel_from_config(channel_doc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"invalid channel config: {exc}") from exc
     flags = {k: getattr(args, k) for k in RUN_KEYS if getattr(args, k, None) is not None}
     return channel, {**run, **flags}
@@ -146,8 +146,8 @@ def _emit(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
-def _fmt(x: float) -> str:
-    return "inf" if math.isinf(x) else "%.12e" % x
+def _fmt(x: float | bool) -> str:
+    return str(int(x)) if isinstance(x, bool) else "inf" if math.isinf(x) else "%.12e" % x
 
 
 def _json_text(doc: dict) -> str:
@@ -158,30 +158,16 @@ def cmd_exponents(args) -> int:
     from .exponents import sweep
 
     channel, run = _load_channel(args)
-    lines = [CSV_HEADER]
-    for p in sweep(channel, _rates(run)):
-        lines.append(",".join([
-            _fmt(p.rate), _fmt(p.e_r), _fmt(p.e_ex_shifted), _fmt(p.e_trc_lb),
-            _fmt(p.s_opt), _fmt(p.r_opt), str(int(p.divergent)),
-        ]))
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [",".join(map(_fmt, vars(p).values())) for p in sweep(channel, _rates(run))]
+    _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_thresholds(args) -> int:
-    from .exponents import (_json_real, channel_thresholds, ex_function,
-                            overlap_exponent_half_var, overlap_exponent_mean)
+    from .exponents import _json_real, channel_thresholds
 
     channel, _ = _load_channel(args)
-    th = channel_thresholds(channel)
-    doc = {
-        "capacity_at_q": th.capacity_at_q,
-        "r_star": _json_real(th.r_star),
-        "r_inf": _json_real(th.r_inf),
-        "nu0": _json_real(overlap_exponent_mean(channel)),
-        "nu1": _json_real(overlap_exponent_half_var(channel)),
-        "e_x_at_1": ex_function(channel, 1.0),
-    }
+    doc = {key: _json_real(x) for key, x in vars(channel_thresholds(channel)).items()}
     _emit(_json_text(doc), args.out)
     return EXIT_OK
 

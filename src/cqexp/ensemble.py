@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .channels import CQChannel
+from .channels import CQChannel, _count
 from .exponents import _check_gamma, _json_real, e0, ex_function
 from .qlinalg import DensityOperator, DIM_CAP, _eigh, _reject_drift, hermitian_eig, kron
 
@@ -130,17 +130,13 @@ class EnsembleReport:
 
 
 def _check_dims(channel: CQChannel, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"block length must be positive, got {n}")
-    if channel.dim ** n > DIM_CAP:
-        raise ValueError(
-            f"product-state dimension {channel.dim}**{n} exceeds the cap {DIM_CAP}"
-        )
+    _count(n, 1, "block length must be positive")
+    if channel.dim ** min(int(n), DIM_CAP.bit_length()) > DIM_CAP:  # no huge power for huge n
+        raise ValueError(f"product-state dimension {channel.dim}**{n} exceeds the cap {DIM_CAP}")
 
 
 def _check_book(channel: CQChannel, m: int, n: int) -> None:
-    if m < 2:
-        raise ValueError(f"need at least two codewords, got {m}")
+    _count(m, 2, "need at least two codewords")
     _check_dims(channel, n)
 
 
@@ -157,8 +153,7 @@ def _symbols(codewords) -> np.ndarray:
 def _entropy(seed) -> np.ndarray:
     """(1, w) uint32 words of a seed, least significant first, as SeedSequence reads it;
     anything but a non-negative integer (a bool included) is refused."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"'seed' must be a non-negative integer, got {seed!r}")
+    _count(seed, 0, "'seed' must be a non-negative integer")
     words = range(0, max(int(seed).bit_length(), 1), 32)
     return np.array([[int(seed) >> s & 0xFFFFFFFF for s in words]], dtype=np.uint32)
 
@@ -231,7 +226,7 @@ def _codeword_chunks(channel: CQChannel, m: int, n: int, chunk: int,
             drawn = np.searchsorted(cdf / cdf[-1], uniforms, side="right")
             yield drawn, np.full(len(drawn), 1.0 / len(entropy))
         return
-    if k ** (m * n) > ENUM_CAP:
+    if k ** min(int(m) * int(n), ENUM_CAP.bit_length()) > ENUM_CAP:  # no huge power for huge M n
         raise ValueError(f"enumeration space {k}**{m * n} exceeds the cap 2**20")
     places = k ** np.arange(m * n - 1, -1, -1)
     for lo in range(0, k ** (m * n), chunk):
@@ -500,9 +495,8 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
     if len({f"{r:g}" for r in r_list}) < len(r_list):  # the report keys orders by %g
         raise ValueError(f"tilt orders must be distinct as printed (%g), got {r_list}")
     _entropy(seed)  # refuses a seed that is not a non-negative integer
-    if not exhaustive and (trials is None or trials < 2):
-        raise ValueError(f"Monte-Carlo mode needs trials >= 2 (or pass exhaustive=True), "
-                         f"got {trials}: one draw has no spread to set its verdicts' slack")
+    if not exhaustive:
+        _count(trials, 2, "Monte-Carlo mode needs trials >= 2 (or pass exhaustive=True)")
     if gamma is not None:
         if not exhaustive:
             raise ValueError("the quantile check (gamma) needs exhaustive enumeration: it is exact")

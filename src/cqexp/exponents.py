@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CQChannel, holevo_information
+from .channels import CQChannel, _count, holevo_information
 from .qlinalg import _clamp_psd
 from .search import _lanewise, maximize_on_grid
 
@@ -66,7 +66,7 @@ class ExponentValue:
 
 @dataclass(frozen=True)
 class RatePoint:
-    """One rate sample: both exponent branches and their pointwise maximum."""
+    """One rate sample, both exponent branches and their maximum; fields in CSV column order."""
 
     rate: float
     e_r: float
@@ -82,11 +82,14 @@ ExponentCurve = list[RatePoint]  # ordered by rate
 
 @dataclass(frozen=True)
 class ChannelThresholds:
-    """Capacity at the fixed Q, crossover rate, and expurgated divergence rate."""
+    """The `thresholds` document, one key per field (see channel_thresholds)."""
 
     capacity_at_q: float
     r_star: float
     r_inf: float
+    nu0: float
+    nu1: float
+    e_x_at_1: float
 
 
 def _json_real(x: float) -> float | str:
@@ -228,9 +231,7 @@ def sweep(channel: CQChannel, rates) -> ExponentCurve:
 
 
 def _pair_weights(channel: CQChannel) -> tuple[np.ndarray, np.ndarray]:
-    g = channel.overlap_gram
-    w = np.outer(channel.q.probabilities, channel.q.probabilities)
-    return g, w
+    return channel.overlap_gram, np.outer(channel.q.probabilities, channel.q.probabilities)
 
 
 def crossover_rate(channel: CQChannel) -> float:
@@ -259,6 +260,13 @@ def expurgated_divergence_rate(channel: CQChannel) -> float:
     return max(0.0, -0.5 * math.log2(p))
 
 
+def _log_overlaps(channel: CQChannel) -> tuple[np.ndarray, np.ndarray] | None:
+    """Q(x) Q(x') and log2 g(x, x') on pairs with Q(x) Q(x') > 0; None if one has zero overlap."""
+    g, w = _pair_weights(channel)
+    mask = w > 0.0
+    return None if np.any(g[mask] <= OVERLAP_POS_TOL) else (w[mask], np.log2(g[mask]))
+
+
 def overlap_exponent_mean(channel: CQChannel) -> float:
     """Mean of -log2 g(x, x') over an i.i.d. input pair; +inf if any pair
     with positive probability has zero overlap.
@@ -266,25 +274,18 @@ def overlap_exponent_mean(channel: CQChannel) -> float:
     This is also the r -> infinity limit of Ex, i.e. the zero-rate limit of
     the expurgated exponent when it is finite.
     """
-    g, w = _pair_weights(channel)
-    mask = w > 0.0
-    if np.any(g[mask] <= OVERLAP_POS_TOL):
-        return math.inf
-    return float(-np.sum(w[mask] * np.log2(g[mask])))
+    pairs = _log_overlaps(channel)
+    return math.inf if pairs is None else float(-np.sum(pairs[0] * pairs[1]))
 
 
 def overlap_exponent_half_var(channel: CQChannel) -> float:
     """Half the variance of log2 g(x, x') over an i.i.d. input pair (bits^2);
     +inf if any pair with positive probability has zero overlap."""
-    g, w = _pair_weights(channel)
-    mask = w > 0.0
-    if np.any(g[mask] <= OVERLAP_POS_TOL):
+    if (pairs := _log_overlaps(channel)) is None:
         return math.inf
-    x = np.log2(g[mask])
-    ww = w[mask]
+    ww, x = pairs
     mean = float(np.sum(ww * x))
-    var = float(np.sum(ww * x * x)) - mean * mean
-    return 0.5 * max(0.0, var)
+    return 0.5 * max(0.0, float(np.sum(ww * x * x)) - mean * mean)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -301,9 +302,8 @@ def optimal_tilt_estimate(channel: CQChannel, num_messages: int, block_length: i
     half-variance of the log-overlap is infinite or zero, +inf when the
     denominator vanishes (M = 1 with gamma = 1).
     """
-    for what, count in (("message count", num_messages), ("block length", block_length)):
-        if not (1 <= count < math.inf and count == math.floor(count)):
-            raise ValueError(f"{what} must be a positive integer, got {count}")
+    _count(num_messages, 1, "message count must be a positive integer")
+    _count(block_length, 1, "block length must be a positive integer")
     _check_gamma(gamma)
     halfvar = overlap_exponent_half_var(channel)
     if math.isinf(halfvar) or halfvar <= 0.0:
@@ -315,9 +315,12 @@ def optimal_tilt_estimate(channel: CQChannel, num_messages: int, block_length: i
 
 
 def channel_thresholds(channel: CQChannel) -> ChannelThresholds:
-    """Collect the capacity at Q, the crossover rate, and the divergence rate."""
+    """Capacity at Q, crossover and divergence rates, both log-overlap moments, and Ex(1)."""
     return ChannelThresholds(
         capacity_at_q=holevo_information(channel),
         r_star=crossover_rate(channel),
         r_inf=expurgated_divergence_rate(channel),
+        nu0=overlap_exponent_mean(channel),
+        nu1=overlap_exponent_half_var(channel),
+        e_x_at_1=ex_function(channel, 1.0),
     )

@@ -173,6 +173,18 @@ def test_shipped_outputs_equal_the_bench_references(tmp_path, stem):
         assert out.read_bytes() == (ROOT / "bench" / "reference" / f"{stem}{suffix}").read_bytes()
 
 
+# recorded from the command line; a change that moves a sample on purpose re-records them
+@pytest.mark.parametrize("name, argv", [
+    ("simulate_mu095", ["--config", str(ROOT / "configs" / "simulate_mu095.json")]),
+    ("exact_markov_bsc_p010", ["--config", str(ROOT / "configs" / "bsc_p010.json"), "--m", "3",
+                               "--n", "3", "--exhaustive", "--gamma", "16", "--r-list", "1,2,4"]),
+])
+def test_shipped_simulate_outputs_equal_the_recorded_ones(tmp_path, name, argv):
+    out = tmp_path / f"{name}.json"
+    assert cli.main(["simulate", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "reference" / f"{name}.json").read_bytes()
+
+
 def test_thresholds_json_values(tmp_path):
     cfg = write_config(tmp_path, PAULI_DOC)
     out = tmp_path / "thresholds.json"
@@ -263,6 +275,8 @@ def test_simulate_gamma_requires_exhaustive(tmp_path, capsys):
     ["--trials", "5", "--out", "/nonexistent/dir/r.json"],
     ["--exhaustive", "--r-list", "1.0000001,1.0000002"],
     ["--trials", "1000000000000"],  # its codewords would take 32 TB, drawn before decoding
+    ["--trials", "5", "--n", str(10 ** 30)],  # 2**n is never built to compare with the cap
+    ["--exhaustive", "--n", str(10 ** 30)],
 ])
 def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("cqexp.ensemble._pgm_errors",
@@ -280,6 +294,7 @@ def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
     ("m", 2.7), ("n", True), ("trials", 2.9), ("seed", 1.5), ("seed", math.nan),
     ("gamma", "16"), ("gamma", True), ("r_list", "124"), ("r_list", [True]),
     ("r_list", ""), ("r_list", {}), ("seed", -3),
+    ("m", math.nan), ("m", True), ("n", math.nan), ("trials", math.nan), ("trials", True),
 ])
 def test_simulate_non_numeric_config_value(tmp_path, capsys, key, value):
     # gamma is only accepted with exhaustive enumeration: refuse it for its type alone
@@ -467,6 +482,28 @@ def test_unknown_config_key_exits_1_naming_it(tmp_path, capsys, command, doc, na
     assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"kind": "pauli", "theta": 0.5}, "pauli channel config needs 'mu'"),
+    ({"kind": "classical", "q": [0.5, 0.5]}, "classical channel config needs 'w'"),
+    ({"kind": "generic"}, "generic channel config needs 'states'"),
+    ({"kind": "generic", "states": 5}, "generic channel config needs a non-empty 'states' list"),
+    ({"kind": "generic", "states": {"re": [[1, 0], [0, 0]]}},
+     "generic channel config needs a non-empty 'states' list"),
+    ({"kind": "generic", "states": ["re"]}, "state 0: needs an object with 're'"),
+    ({"kind": "generic", "states": [{"im": [[0, 0], [0, 0]]}]},
+     "state 0: needs an object with 're'"),
+], ids=["no-mu", "no-w", "no-states", "states-number", "states-object", "state-string",
+        "state-without-re"])
+def test_malformed_channel_document_is_a_value_error(tmp_path, capsys, doc, named):
+    with pytest.raises(ValueError) as refused:
+        channel_from_config(doc)
+    assert named in str(refused.value)
+    assert cli.main(["validate", "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid channel config: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_unknown_kind(tmp_path, capsys):

@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import re
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cqexp import (
     error_probability,
     from_classical_dmc,
     helstrom_error,
+    optimal_tilt_estimate,
     pgm_povm,
     product_state,
     run_ensemble,
@@ -163,6 +165,45 @@ def test_exhaustive_mode_needs_two_codewords():
         next(enumerate_codebooks(ch, 1, 2))
     with pytest.raises(ValueError, match="need at least two codewords"):
         run_ensemble(ch, 1, 2, exhaustive=True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ch: run_ensemble(ch, 2, 10 ** 30, trials=5),
+    lambda ch: run_ensemble(ch, 2, 10 ** 30, exhaustive=True),
+    lambda ch: sample_codebook(ch, 2, 10 ** 30, 0),
+    lambda ch: next(enumerate_codebooks(ch, 10 ** 12, 1)),
+], ids=["monte-carlo-n", "exhaustive-n", "sample-n", "enumerate-m"])
+def test_a_huge_size_is_refused_without_building_its_power(call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        call(pauli_channel(0.9))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, True, np.float64(3.0), None],
+                         ids=["fraction", "nan", "bool", "numpy-float", "none"])
+def test_a_count_that_is_not_an_integer_is_refused(monkeypatch, bad):
+    monkeypatch.setattr("cqexp.ensemble._pgm_errors",
+                        lambda states: pytest.fail("a codebook was decoded before the refusal"))
+    ch = pauli_channel(0.9)
+    calls = [
+        ("need at least two codewords", lambda: run_ensemble(ch, bad, 3, trials=10)),
+        ("need at least two codewords", lambda: run_ensemble(ch, bad, 2, exhaustive=True)),
+        ("need at least two codewords", lambda: sample_codebook(ch, bad, 3, 0)),
+        ("need at least two codewords", lambda: next(enumerate_codebooks(ch, bad, 2))),
+        ("block length must be positive", lambda: run_ensemble(ch, 2, bad, trials=10)),
+        ("block length must be positive", lambda: run_ensemble(ch, 2, bad, exhaustive=True)),
+        ("block length must be positive", lambda: sample_codebook(ch, 2, bad, 0)),
+        ("block length must be positive", lambda: next(enumerate_codebooks(ch, 2, bad))),
+        ("trials >= 2", lambda: run_ensemble(ch, 2, 3, trials=bad)),
+        ("message count must be a positive integer",
+         lambda: optimal_tilt_estimate(ch, bad, 8, 2.0)),
+        ("block length must be a positive integer",
+         lambda: optimal_tilt_estimate(ch, 4, bad, 2.0)),
+    ]
+    for rule, call in calls:
+        with pytest.raises(ValueError, match=f"{re.escape(rule)}.*, got {re.escape(repr(bad))}$"):
+            call()
 
 
 def channel_with_q(q):
