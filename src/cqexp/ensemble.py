@@ -10,12 +10,13 @@ bound plus slack: 1e-12 when exact, three standard errors in Monte-Carlo mode.
 
 The error of a codebook is the same on its orbit under message and position permutations
 and exact letter symmetries, and a constant column is a common tensor factor, so the decoder
-maps each distinct column histogram once to one orbit member and decodes each member once,
-on its L varying columns at dimension d**L (none if none varies: error 1 - 1/M).
+maps each distinct column histogram once to one orbit member (none varies: error 1 - 1/M).
+Two equal columns give each message a factor sigma (x) sigma that keeps symmetric and
+antisymmetric two-site vectors apart: p pairs split a member into 2**p block problems.
 
-Caps: product-state dimension d**n <= 4096, exhaustive enumeration |X|**(M n) <= 2**20,
-2**30 bytes of a codebook's product states at dimension d**n or of a Monte-Carlo run's
-draws (trials (8 M (2 n + 1) + 250)), 256 KiB per chunk, 4 MiB per table of distinct words.
+Caps: dimension d**n <= 4096, enumeration |X|**(M n) <= 2**20, 2**30 bytes of a codebook's
+product states or its 16 M**2 bytes of message distances, or of a Monte-Carlo run's draws
+(trials (8 M (2 n + 1) + 250)), 256 KiB per chunk, 4 MiB per table of distinct words.
 """
 
 from __future__ import annotations
@@ -319,20 +320,42 @@ def helstrom_error(a: DensityOperator, b: DensityOperator) -> float:
     return float(min(max(0.5 * (1.0 - 0.5 * trace_norm), 0.0), 0.5))
 
 
-def _pgm_errors(states: np.ndarray) -> np.ndarray:
-    """Average square-root-measurement error of each codebook in a (B, M, D, D) stack.
-
-    pgm_povm batched: B = S^-1/2 on the support of S = sum_m sigma_m, and message m
-    is hit with Tr{(B sigma_m)^2} = Tr{Pi_m sigma_m}; errors are clamped to [0, 1].
-    """
+def _pgm_hits(states: np.ndarray) -> np.ndarray:
+    """(B, M) square-root-measurement hits Tr{(B sigma_m)^2} = Tr{Pi_m sigma_m} in a (B, M, D, D)
+    stack: pgm_povm batched, with B = S^-1/2 on the support of S = sum_m sigma_m."""
     total = reduce(np.add, states.swapaxes(0, 1))  # message order, as pgm_povm sums
     _reject_drift(total)
     w, v = _eigh(total)
     inv_sqrt = np.where(w > SUPPORT_TOL, 1.0 / np.sqrt(np.where(w > SUPPORT_TOL, w, 1.0)), 0.0)
     b = (v * inv_sqrt[:, None, :]) @ v.conj().swapaxes(-1, -2)
     c = b[:, None] @ states
-    hits = np.einsum("bmij,bmji->bm", c, c).real
-    return np.clip(1.0 - hits, 0.0, 1.0).mean(axis=1)
+    return np.einsum("bmij,bmji->bm", c, c).real
+
+
+def _pair_blocks(letters: np.ndarray) -> list[np.ndarray]:
+    """(k, ., .) factor stacks of kinds 0 to 3: 1, the letters, and sigma_x (x) sigma_x on the
+    symmetric and antisymmetric two-site vectors (real orthonormal bases), sizes d(d +- 1)/2."""
+    k, d = letters.shape[:2]
+    e, (i, j), (p, q) = np.eye(d * d), np.triu_indices(d), np.triu_indices(d, 1)
+    sym = (e[i * d + j] + e[j * d + i]) / np.sqrt(np.where(i == j, 4.0, 2.0))[:, None]
+    anti = (e[p * d + q] - e[q * d + p]) / math.sqrt(2.0)
+    two = (letters[:, :, None, :, None] * letters[:, None, :, None, :]).reshape(k, d * d, -1)
+    return [np.ones((k, 1, 1)), letters, sym @ two @ sym.T, anti @ two @ anti.T]
+
+
+def _block_problems(members: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, M, n) block problems of members, and the member of each: adjacent equal varying columns
+    pair up, the first coded k + x (symmetric block) or 2k + x, the second -1; columns sorted."""
+    problems, owner = members, np.arange(len(members))
+    for j in range(members.shape[2] - 1):
+        pair = (problems[:, :, j] == problems[:, :, j + 1]).all(axis=1) & (problems[:, 0, j] >= 0)
+        split = np.repeat(problems[pair][None], 2, axis=0)
+        split[..., j] += k * np.array([1, 2])[:, None, None]
+        split[..., j + 1] = -1
+        problems = np.concatenate([problems[~pair], *split])
+        owner = np.concatenate([owner[~pair], owner[pair], owner[pair]])
+    order = np.lexsort(problems.transpose(1, 0, 2)[::-1], axis=-1)
+    return np.take_along_axis(problems, order[:, None], axis=2), owner
 
 
 def _letter_symmetries(letters: np.ndarray) -> np.ndarray:
@@ -380,7 +403,7 @@ def _orbit_members(words: np.ndarray, group: np.ndarray) -> np.ndarray:
 
 
 def _member_ids(members: np.ndarray, reps: dict) -> np.ndarray:
-    """Index of each row (an (M, n) book or an L-letter word) in ``reps``, new ones appended."""
+    """Index of each row (an (M, n) book or block problem, or a word) in ``reps``, new ones last."""
     keys = members.reshape(len(members), -1).view(f"V{members[0].size * 8}").ravel().tolist()
     return np.array([reps.setdefault(key, len(reps)) for key in keys])
 
@@ -388,12 +411,11 @@ def _member_ids(members: np.ndarray, reps: dict) -> np.ndarray:
 def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = True,
                      trials: int | None = None, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Decode each enumerated (or drawn) codebook; return codebook probabilities and average
-    errors.  Each codebook is keyed by its column histogram (its columns sorted), each distinct
-    histogram is mapped once by _orbit_members, and each distinct member is decoded once, on
-    its L varying columns at dimension d**L (none at L = 0: P_e = 1 - 1/M exactly).
-    Each distinct L-letter word's product state is built once from the validated letters (real
-    when every letter is) into one table when all k**L words fit in _TABLE_BYTES, else one per
-    block of members whose M words each fit, and gathered from it in DECODE_CHUNK_BYTES chunks."""
+    errors.  Each distinct column histogram (a codebook's columns sorted) is mapped once by
+    _orbit_members, each distinct member split once by _block_problems, and each distinct block
+    problem decoded once, batched by dimension (no varying column: P_e = 1 - 1/M exactly), from
+    one table of the validated letters' (real when all are) products per dimension when all its
+    words fit in _TABLE_BYTES, else one per block of problems, in DECODE_CHUNK_BYTES chunks."""
     _check_book(channel, m, n)
     letters = np.array([s.matrix for s in channel.states])  # (k, d, d)
     if not letters.imag.any():
@@ -402,8 +424,11 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     if book_bytes > BOOK_BYTES_CAP:
         raise ValueError(f"the {m} product states of one codebook take {book_bytes} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
-    # per trial: a distinct member as a reps key and stacked (16 M n), its table ids (8 M), and
-    # 250 for the key's header and dict entry, a seed, orbit indices, weights, P_e and its sample
+    if (far := 16 * m * m) > BOOK_BYTES_CAP:  # the orbit map's distances, summed and sorted
+        raise ValueError(f"the {m} x {m} message distances of one codebook take {far} bytes, "
+                         f"over the cap {BOOK_BYTES_CAP}")
+    # per trial: a distinct member, then its block problem, as a key and stacked (16 M n), its
+    # table ids (8 M), and 250: a key's header and dict entry, a seed, orbit ids, weights, P_e
     if not exhaustive and (held := trials * (8 * m * (2 * n + 1) + 250)) > BOOK_BYTES_CAP:
         raise ValueError(f"{trials} draws of {m} x {n} codewords take {held} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")
@@ -422,27 +447,42 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
                              for lo in range(0, len(keys), step)])[np.concatenate(orbits)]
     del keys  # not held beside the members' keys and their stack
     members, reps = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n), {}
-    widths = (members[:, 0] >= 0).sum(axis=1)
-    pes = np.full(len(members), 1.0 - 1.0 / m)  # the all-constant member, of width 0
-    for width in set(widths.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma
-        todo = np.flatnonzero(widths == width)
-        word_bytes = channel.dim ** (2 * width) * letters.itemsize
+    k, owners, ids = len(letters), [], []
+    for lo in range(0, len(members), chunk):
+        problems, owner = _block_problems(members[lo:lo + chunk], k)
+        owners.append(owner + lo)
+        ids.append(_member_ids(problems, reps))
+    constant = (members[:, 0] < 0).all(axis=1)  # the all-constant member, of width 0
+    del members  # not held beside the block problems' keys and their stack
+    problems, reps = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n), {}
+    kinds, blocks = problems[:, 0] // k + 1, _pair_blocks(letters)  # a column's kind, 0 to 3
+    dims = np.where(kinds.any(axis=1), np.array([len(b[0]) for b in blocks])[kinds].prod(axis=1), 0)
+    hits = np.zeros((len(problems), m))  # 0 dims: no factor, or an empty antisymmetric block
+    for dim in set(dims.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma
+        todo, word_bytes = np.flatnonzero(dims == dim), dim ** 2 * letters.itemsize
         step = max(1, DECODE_CHUNK_BYTES // (m * word_bytes))
-        block = (len(todo) if len(letters) ** width * word_bytes <= _TABLE_BYTES
-                 else max(1, _TABLE_BYTES // (m * word_bytes)))  # members per table
-        tails = members[:, :, n - width:]  # the varying columns, keyed a chunk at a time
+        most = sum(k ** (n - kind.count(0)) for kind in {tuple(r) for r in kinds[todo].tolist()})
+        block = (len(todo) if most * word_bytes <= _TABLE_BYTES
+                 else max(1, _TABLE_BYTES // (m * word_bytes)))  # block problems per table
         for rows in np.split(todo, range(block, len(todo), block)):
             table = {}  # word bytes -> row of the table
-            ids = np.concatenate([_member_ids(tails[p].reshape(-1, width), table).reshape(-1, m)
-                                  for p in np.split(rows, range(chunk, len(rows), chunk))])
-            words = np.frombuffer(b"".join(table), dtype=np.int64).reshape(len(table), width)
-            states = letters[words[:, 0]]
-            for col in range(1, width):  # Kronecker chain, left to right as in product_state
-                right = letters[words[:, col]][:, None, :, None, :]
-                outer = states[:, :, None, :, None] * right
-                states = outer.reshape(len(words), outer.shape[1] * outer.shape[2], -1)
+            word_ids = np.concatenate([_member_ids(problems[p].reshape(-1, n), table).reshape(-1, m)
+                                        for p in np.split(rows, range(chunk, len(rows), chunk))])
+            words = np.frombuffer(b"".join(table), dtype=np.int64).reshape(len(table), n)
+            states = np.empty((len(words), dim, dim), letters.dtype)
+            for kind in {tuple(row) for row in (words // k + 1).tolist()}:
+                sel = (words // k + 1 == kind).all(axis=1)
+                part = np.ones((np.count_nonzero(sel), 1, 1))
+                for col in np.flatnonzero(kind):  # Kronecker chain, left to right
+                    right = blocks[kind[col]][words[sel, col] % k][:, None, :, None, :]
+                    outer = part[:, :, None, :, None] * right
+                    part = outer.reshape(len(outer), outer.shape[1] * outer.shape[2], -1)
+                states[sel] = part
             for lo in range(0, len(rows), step):
-                pes[rows[lo:lo + step]] = _pgm_errors(states[ids[lo:lo + step]])
+                hits[rows[lo:lo + step]] = _pgm_hits(states[word_ids[lo:lo + step]])
+    errors = np.ones((len(constant), m))  # a member's hits add over its block problems
+    np.subtract.at(errors, np.concatenate(owners), hits[np.concatenate(ids)])
+    pes = np.where(constant, 1.0 - 1.0 / m, errors.clip(0.0, 1.0, out=errors).mean(axis=1))
     return np.concatenate(weights), pes[orbits]
 
 

@@ -279,12 +279,24 @@ def test_simulate_gamma_requires_exhaustive(tmp_path, capsys):
     ["--exhaustive", "--n", str(10 ** 30)],
 ])
 def test_simulate_refuses_before_decoding(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setattr("cqexp.ensemble._pgm_errors",
+    monkeypatch.setattr("cqexp.ensemble._pgm_hits",
                         lambda states: pytest.fail("a codebook was decoded before the refusal"))
     cfg = write_config(tmp_path, PAULI_DOC)
     assert cli.main(["simulate", "--config", cfg, "--m", "2", "--n", "2"] + argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_refuses_message_distances_over_the_cap(tmp_path, capsys, monkeypatch):
+    # 512 messages take 16 * 512**2 = 4 MiB of orbit-map distances, over a 1 MiB cap, while
+    # their states (16 KiB) and two draws (25 KB) fit; at the real cap --m 16384 asks 4 GiB
+    monkeypatch.setattr("cqexp.ensemble.BOOK_BYTES_CAP", 2 ** 20)
+    monkeypatch.setattr("cqexp.ensemble._codeword_chunks",
+                        lambda *_: pytest.fail("codebooks were drawn before the refusal"))
+    cfg = write_config(tmp_path, PAULI_DOC)
+    assert cli.main(["simulate", "--config", cfg, "--m", "512", "--n", "1", "--trials", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the 512 x 512 message distances") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key, value", [
@@ -376,7 +388,7 @@ def test_simulate_failed_verdict_exit_code(tmp_path, monkeypatch):
 
 def test_simulate_refuses_one_draw(tmp_path, capsys, monkeypatch):
     # one draw has sample variance 0, so its verdicts would have no slack at all
-    monkeypatch.setattr("cqexp.ensemble._pgm_errors",
+    monkeypatch.setattr("cqexp.ensemble._pgm_hits",
                         lambda states: pytest.fail("a codebook was decoded before the refusal"))
     cfg = write_config(tmp_path, PAULI_DOC)
     assert cli.main(["simulate", "--config", cfg, "--m", "2", "--n", "6", "--trials", "1"]) == 1

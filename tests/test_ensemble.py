@@ -1,5 +1,6 @@
 """Finite-blocklength ensemble runs: codebooks, decoding, bound verdicts."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -36,12 +37,13 @@ from cqexp import (
 from cqexp.ensemble import (
     DECODE_CHUNK_BYTES,
     RC_BOUND_GRID_POINTS,
+    _TABLE_BYTES,
     _codeword_chunks,
     _decode_ensemble,
     _entropy,
     _letter_symmetries,
     _orbit_members,
-    _pgm_errors,
+    _pgm_hits,
     _rc_mean_bound,
     _seed_states,
     _uniforms,
@@ -183,7 +185,7 @@ def test_a_huge_size_is_refused_without_building_its_power(call):
 @pytest.mark.parametrize("bad", [2.5, math.nan, True, np.float64(3.0), None],
                          ids=["fraction", "nan", "bool", "numpy-float", "none"])
 def test_a_count_that_is_not_an_integer_is_refused(monkeypatch, bad):
-    monkeypatch.setattr("cqexp.ensemble._pgm_errors",
+    monkeypatch.setattr("cqexp.ensemble._pgm_hits",
                         lambda states: pytest.fail("a codebook was decoded before the refusal"))
     ch = pauli_channel(0.9)
     calls = [
@@ -428,40 +430,47 @@ def varying_columns(words) -> np.ndarray:
     return words[:, ~np.all(words == words[0], axis=0)]
 
 
+def block_dims(member, d) -> list[int]:
+    """Dimensions of the distinct block problems of an orbit member (its varying columns, as
+    orbit_key gives them): c equal columns make c // 2 pairs, and q pairs of one column give
+    q + 1 distinct blocks, s of the pairs on the symmetric d(d+1)/2 vectors and q - s on the
+    antisymmetric d(d-1)/2; a column left over is a d-dimensional factor."""
+    dims = [1]
+    for c in collections.Counter(member).values():
+        dims = [x * (d * (d + 1) // 2) ** s * (d * (d - 1) // 2) ** (c // 2 - s) * d ** (c % 2)
+                for x in dims for s in range(c // 2 + 1)]
+    return dims
+
+
 def test_decoding_builds_each_product_state_once(monkeypatch):
-    ch, m, n = pauli_channel(0.95), 2, 2
+    ch, m, n = pauli_channel(0.95), 2, 3
     words, decoded = [], []
 
     def counting_product_state(channel, codeword):
         words.append(tuple(codeword))
         return product_state(channel, codeword)
 
-    def recording_pgm_errors(states):
+    def recording_pgm_hits(states):
         decoded.extend(states)
-        return _pgm_errors(states)
+        return _pgm_hits(states)
 
     monkeypatch.setattr("cqexp.ensemble.product_state", counting_product_state)
-    monkeypatch.setattr("cqexp.ensemble._pgm_errors", recording_pgm_errors)
+    monkeypatch.setattr("cqexp.ensemble._pgm_hits", recording_pgm_hits)
     report = run_ensemble(ch, m, n, exhaustive=True, gamma=4.0)
     assert words == []  # products come from the channel's validated matrices
     books = [book.codewords for book, _ in enumerate_codebooks(ch, m, n)]
-    # the orbit members a slice may hold: the varying columns, in every message and position
-    # order, and with the letter swap on any set of columns; all-constant codebooks have none
-    members = [SWAP[flips, part[list(rows)][:, list(cols)]]
-               for part in map(varying_columns, books) if part.size
-               for rows in itertools.permutations(range(m))
-               for cols in itertools.permutations(range(part.shape[1]))
-               for flips in itertools.product((0, 1), repeat=part.shape[1])]
-    orbits = []
-    for states in decoded:  # array_equal compares shapes: a slice is d**L for L member columns
-        member = next(w for w in members
-                      if np.array_equal(states, [product_state(ch, c).matrix for c in w]))
-        orbits.append(orbit_key(member, SWAP))
-    # one slice per representative: 2 for the 12 codebooks with a varying column, 3 without
-    # the swap; the 4 all-constant codebooks are not decoded
-    assert len(set(orbits)) == len(decoded) == 2
-    assert ({orbit_key(varying_columns(w), SWAP) for w in books if varying_columns(w).size}
-            == set(orbits))
+    orbits = {orbit_key(varying_columns(w), SWAP) for w in books if varying_columns(w).size}
+    # up to the letter swap every varying column of an M = 2 book is (0, 1), so the orbits
+    # are 1, 2 and 3 equal columns: a 2-dimensional problem; the symmetric and antisymmetric
+    # blocks of a pair (3 and 1); and the same beside a single column (6 and 2).  Each distinct
+    # block problem is decoded once; the 8 all-constant codebooks are not decoded
+    assert sorted(len(states[0]) for states in decoded) == [1, 2, 2, 3, 6]
+    assert sorted(sum((block_dims(orbit, 2) for orbit in orbits), [])) == [1, 2, 2, 3, 6]
+    assert len({states.tobytes() for states in decoded}) == len(decoded)
+    # the blocks of a member hold the whole trace of its states: over the three members, each
+    # message's traces add to 3
+    traces = sum(np.trace(states, axis1=1, axis2=2).real for states in decoded)
+    np.testing.assert_allclose(traces, [3.0, 3.0], rtol=0, atol=1e-14)
     monkeypatch.undo()
 
     def slow_decode(channel, m, n, **_):
@@ -552,6 +561,76 @@ def test_decoder_equals_public_slow_path(ch, m, n, deficient, exhaustive):
     assert all(len(set(pe)) == 1 for pe in values.values())  # bit-identical on an orbit
 
 
+def decode_books(monkeypatch, ch, books) -> np.ndarray:
+    """P_e of each given (M, n) codebook by the fast decoder, which sees them as one chunk."""
+    books = np.array(books)
+    with monkeypatch.context() as patch:
+        patch.setattr("cqexp.ensemble._codeword_chunks",
+                      lambda *_: iter([(books, np.full(len(books), 1.0 / len(books)))]))
+        return _decode_ensemble(ch, books.shape[1], books.shape[2])[1]
+
+
+def oracle_errors(ch, books) -> list[float]:
+    return [error_probability(ch, Codebook(m=len(w), n=len(w[0]), codewords=w,
+                                           provenance=("sampled", 0)),
+                              pgm_povm([product_state(ch, x) for x in w])).average_error
+            for w in map(np.array, books)]
+
+
+def from_columns(*columns) -> np.ndarray:
+    return np.array(columns).T
+
+
+# six of the 7 column types of 4 messages up to the letter swap, two of them given as their
+# swapped images; the swap maps (1, 1, 0, 0) to A
+A, OTHERS = (0, 0, 1, 1), [(0, 1, 0, 1), (0, 1, 1, 0), (0, 0, 0, 1), (1, 0, 1, 1), (1, 1, 0, 1)]
+QUTRIT_LETTERS = random_channel(np.random.default_rng(6), 3, 3)  # complex, no letter symmetry
+
+
+@pytest.mark.parametrize("ch, books", [
+    *[pytest.param(PAULI_095, [from_columns(*[A] * (c - 1), (1, 1, 0, 0), *OTHERS[:7 - c]),
+                               from_columns(*OTHERS[:7 - c], *[A] * c),
+                               from_columns(*[A] * c, (1, 1, 1, 1), *OTHERS[:6 - c])],
+                   id=f"run-of-{c}") for c in (2, 3, 4, 5)],
+    # two runs of two and a single column; the antisymmetric qubit block is 1 x 1
+    pytest.param(PAULI_095, [from_columns(A, A, (0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 0, 1))],
+                 id="two-pairs"),
+    # qutrit pairs split into blocks of 6 and 3; four equal columns are two pairs whose
+    # (symmetric, antisymmetric) and (antisymmetric, symmetric) blocks are one problem
+    pytest.param(QUTRIT_LETTERS, [from_columns((0, 1, 2), (0, 1, 2), (2, 0, 1), (1, 1, 0)),
+                                  from_columns(*[(0, 1, 2)] * 3, (2, 2, 1)),
+                                  from_columns(*[(2, 0, 1)] * 4)], id="qutrit"),
+    # M = 2: up to the swap every varying column is (0, 1), so a width-L member is one run
+    pytest.param(PAULI_095, [from_columns(*[(0, 1), (1, 0)] * 4),
+                             from_columns(*[(1, 0)] * 7, (1, 1)),
+                             from_columns((0, 0), (0, 1), (1, 0), (1, 1), (0, 1), (0, 1), (1, 0),
+                                          (1, 1))], id="m2-one-type"),
+])
+def test_equal_columns_decode_as_the_oracle(monkeypatch, ch, books):
+    np.testing.assert_allclose(decode_books(monkeypatch, ch, books), oracle_errors(ch, books),
+                               rtol=0, atol=1e-12)
+
+
+def test_equal_columns_decode_on_their_blocks(monkeypatch):
+    seen = []
+
+    def recording_pgm_hits(states):
+        seen.extend([states.shape[-1]] * len(states))
+        return _pgm_hits(states)
+
+    monkeypatch.setattr("cqexp.ensemble._pgm_hits", recording_pgm_hits)
+    _decode_ensemble(PAULI_095, 2, 8)  # every codebook: a width-L member is one run, L <= 8
+    assert sorted(seen) == sorted(sum((block_dims([(0, 1)] * width, 2) for width in range(1, 9)),
+                                      []))  # each distinct block problem once
+    assert max(seen) == 81  # 3**4, never 2**8
+    seen.clear()
+    doc = json.loads((CONFIGS / "simulate_mu095.json").read_text())
+    _decode_ensemble(channel_from_config(doc["channel"]), doc["m"], doc["n"], exhaustive=False,
+                     trials=1000, seed=1)
+    assert seen.count(64) == 2  # only 2 of the 60 width-6 members have no equal pair
+    assert max(seen) == 64 and 48 in seen and 36 in seen
+
+
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -598,25 +677,31 @@ def test_letter_symmetries_are_searched_up_to_dimension_four(d, found):
     assert np.array_equal(_letter_symmetries(np.array([sigma, swapped])), found)
 
 
-@pytest.mark.parametrize("mu, m, n, trials, seed, dims", [
-    # at L = 7 and 8 the 2**L real words of a width take 16 and 128 MiB, over the 4 MiB table,
-    # so the members go in blocks of 8 and 2 codebooks, no budget patched; these four draws
-    # have 8, 7, 8 and 8 varying columns, so width 8 takes two blocks
-    pytest.param(0.95, 4, 8, 4, 7, {128, 256}, id="blocks"),
-    pytest.param(1.0 - 1e-9, 4, 5, 200, 2, set(), id="near-pure", marks=pytest.mark.xfail(
+THREE_QUBIT_LETTERS = CQChannel(tuple(random_density(np.random.default_rng(3), 2)
+                                      for _ in range(3)), None)  # complex, uniform Q
+
+
+@pytest.mark.parametrize("ch, m, n, trials, seed, split_dim", [
+    # 7 of these 8 draws have 7 distinct varying columns (no letter symmetry, no equal pair):
+    # 128-dimensional complex problems, whose 3**7 words (256 KiB each) overflow the 4 MiB
+    # table, so they go in tables of 4 codebooks, no budget patched
+    pytest.param(THREE_QUBIT_LETTERS, 4, 7, 8, 7, 128, id="blocks"),
+    pytest.param(pauli_channel(1.0 - 1e-9), 4, 5, 200, 2, None, id="near-pure",
+                 marks=pytest.mark.xfail(
         strict=True, reason="near-pure letters: the SUPPORT_TOL cut on the state sum is "
         "ill-conditioned, and the fast and public paths differ by about 5e-12")),
 ])
-def test_fast_decode_matches_the_oracle(monkeypatch, mu, m, n, trials, seed, dims):
-    ch, seen = pauli_channel(mu), []
+def test_fast_decode_matches_the_oracle(monkeypatch, ch, m, n, trials, seed, split_dim):
+    seen = []
 
-    def recording_pgm_errors(states):
-        seen.append(states.shape[-1])
-        return _pgm_errors(states)
+    def recording_pgm_hits(states):
+        seen.extend([states.shape[-1]] * len(states))
+        return _pgm_hits(states)
 
-    monkeypatch.setattr("cqexp.ensemble._pgm_errors", recording_pgm_errors)
+    monkeypatch.setattr("cqexp.ensemble._pgm_hits", recording_pgm_hits)
     _, pes = _decode_ensemble(ch, m, n, exhaustive=False, trials=trials, seed=seed)
-    assert dims <= set(seen)
+    if split_dim:
+        assert seen.count(split_dim) > _TABLE_BYTES // (m * split_dim ** 2 * 16) == 4
     books = [sample_codebook(ch, m, n, int(s))
              for s in np.random.SeedSequence(seed).generate_state(trials)]
     expected = [error_probability(ch, book, pgm_povm(
@@ -745,6 +830,23 @@ def test_one_codebook_memory_cap(monkeypatch, exhaustive):
             run_ensemble(ch, m, 2, exhaustive=exhaustive, trials=None if exhaustive else 3)
 
 
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_message_distances_are_priced(monkeypatch, exhaustive):
+    # the orbit map holds (M, M) int64 message distances and their sorted copy, 16 M**2 bytes
+    # for even one codebook, which the states' and the draws' prices miss at n = 1
+    monkeypatch.setattr("cqexp.ensemble.BOOK_BYTES_CAP", 2 ** 20)
+    if not exhaustive:  # 16 * 256**2 bytes is the cap: admitted
+        _decode_ensemble(PAULI_095, 256, 1, exhaustive=False, trials=2)
+
+    def no_draw(*_, **__):
+        raise AssertionError("codebooks were drawn or enumerated")
+
+    monkeypatch.setattr("cqexp.ensemble._codeword_chunks", no_draw)
+    with pytest.raises(ValueError, match="^the 512 x 512 message distances of one codebook take "
+                                         "4194304 bytes, over the cap 1048576$"):
+        _decode_ensemble(PAULI_095, 512, 1, exhaustive=exhaustive, trials=2)
+
+
 @pytest.mark.parametrize("m, n", [(2, 2), (4, 6), (16, 3)])
 def test_mean_bound_is_the_scalar_grid_minimum(m, n):
     # one batched E0 call, but the same numbers as one scalar call per grid point
@@ -788,7 +890,7 @@ def test_run_ensemble_deterministic_reruns():
 
 
 def test_run_ensemble_validation(monkeypatch):
-    monkeypatch.setattr("cqexp.ensemble._pgm_errors",
+    monkeypatch.setattr("cqexp.ensemble._pgm_hits",
                         lambda states: pytest.fail("a codebook was decoded before the refusal"))
     ch = pauli_channel(0.9)
     with pytest.raises(ValueError, match="trials"):
@@ -813,7 +915,7 @@ def test_monte_carlo_refuses_one_draw(monkeypatch):
     # verdict would rest on a single codebook: seed 13 gave a FAIL that way
     ch = pauli_channel(0.95)
     with monkeypatch.context() as patch:
-        patch.setattr("cqexp.ensemble._pgm_errors",
+        patch.setattr("cqexp.ensemble._pgm_hits",
                       lambda states: pytest.fail("a codebook was decoded before the refusal"))
         for trials in (None, 0, 1):
             with pytest.raises(ValueError, match=f"trials >= 2 .*got {trials}"):
