@@ -34,6 +34,7 @@ EXIT_CONFIG = 1
 EXIT_VERDICT = 2
 
 CSV_HEADER = "R,E_r,E_ex_2R_plus_R,E_trc_lb,s_opt,r_opt,divergent_flag"
+CSV_ROW = ",".join(["%.12e"] * 6 + ["%d"])  # a RatePoint's fields; "%.12e" % inf is "inf"
 RUN_KEYS = ("grid", "rates", "m", "n", "trials", "seed", "r_list", "gamma", "exhaustive")
 
 
@@ -93,6 +94,9 @@ def _grid_from_parts(lo: float, hi: float, count: int) -> np.ndarray:
         raise ValueError(f"grid max must be finite and exceed min, got [{lo}, {hi}]")
     if count < 2:
         raise ValueError(f"grid needs at least 2 points, got {count}")
+    from .exponents import _check_rate_count  # only `exponents` reads a rate grid
+
+    _check_rate_count(count)
     return np.linspace(lo, hi, count)
 
 
@@ -115,7 +119,11 @@ def _tilt_orders(text: str) -> list[float]:
 
 def _rates(run: dict) -> np.ndarray:
     if run.get("rates") is not None:  # the --grid rates, or the config's, win over its 'grid'
-        return np.asarray(_numbers(run["rates"], 1, "config 'rates'"))
+        from .exponents import _check_rate_count  # only `exponents` reads a rate grid
+
+        rates = _numbers(run["rates"], 1, "config 'rates'")
+        _check_rate_count(len(rates))
+        return np.asarray(rates)
     g = run.get("grid")
     if g is not None:
         try:
@@ -146,10 +154,6 @@ def _emit(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
-def _fmt(x: float | bool) -> str:
-    return str(int(x)) if isinstance(x, bool) else "inf" if math.isinf(x) else "%.12e" % x
-
-
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -158,7 +162,7 @@ def cmd_exponents(args) -> int:
     from .exponents import sweep
 
     channel, run = _load_channel(args)
-    rows = [",".join(map(_fmt, vars(p).values())) for p in sweep(channel, _rates(run))]
+    rows = [CSV_ROW % tuple(vars(p).values()) for p in sweep(channel, _rates(run))]
     _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return EXIT_OK
 

@@ -15,8 +15,8 @@ Two equal columns give each message a factor sigma (x) sigma that keeps symmetri
 antisymmetric two-site vectors apart: p pairs split a member into 2**p block problems.
 
 Caps: dimension d**n <= 4096, enumeration |X|**(M n) <= 2**20, 2**30 bytes of a codebook's
-product states or its 16 M**2 bytes of message distances, or of a Monte-Carlo run's draws
-(trials (8 M (2 n + 1) + 250)), 256 KiB per chunk, 4 MiB per table of distinct words.
+codewords, its product states or its 16 M**2 bytes of message distances, or of a Monte-Carlo
+run's draws (trials (8 M (2 n + 1) + 250)), 256 KiB per chunk, 4 MiB per table of distinct words.
 """
 
 from __future__ import annotations
@@ -136,9 +136,26 @@ def _check_dims(channel: CQChannel, n: int) -> None:
         raise ValueError(f"product-state dimension {channel.dim}**{n} exceeds the cap {DIM_CAP}")
 
 
-def _check_book(channel: CQChannel, m: int, n: int) -> None:
+def _check_enumeration(k: int, m: int, n: int) -> None:
+    if k ** min(m * n, ENUM_CAP.bit_length()) > ENUM_CAP:  # no huge power for huge M n
+        raise ValueError(f"enumeration space {k}**{m * n} exceeds the cap 2**20")
+
+
+def _check_book(channel: CQChannel, m: int, n: int, *, enumerated: bool = False) -> None:
+    """Refuse, before anything is built, a codebook size past a cap: the dimension d**n, with
+    ``enumerated`` the k**(M n) codebooks, and the bytes of one codebook's codeword array or
+    its product states (real when every letter is) against BOOK_BYTES_CAP."""
     _count(m, 2, "need at least two codewords")
     _check_dims(channel, n)
+    m, n = int(m), int(n)
+    if enumerated:
+        _check_enumeration(channel.alphabet_size, m, n)
+    itemsize = 16 if any(s.matrix.imag.any() for s in channel.states) else 8
+    for size, what in ((8 * m * n, f"{m} x {n} codewords"),
+                       (m * channel.dim ** (2 * n) * itemsize, f"{m} product states")):
+        if size > BOOK_BYTES_CAP:
+            raise ValueError(f"the {what} of one codebook take {size} bytes, "
+                             f"over the cap {BOOK_BYTES_CAP}")
 
 
 def _symbols(codewords) -> np.ndarray:
@@ -227,8 +244,7 @@ def _codeword_chunks(channel: CQChannel, m: int, n: int, chunk: int,
             drawn = np.searchsorted(cdf / cdf[-1], uniforms, side="right")
             yield drawn, np.full(len(drawn), 1.0 / len(entropy))
         return
-    if k ** min(int(m) * int(n), ENUM_CAP.bit_length()) > ENUM_CAP:  # no huge power for huge M n
-        raise ValueError(f"enumeration space {k}**{m * n} exceeds the cap 2**20")
+    _check_enumeration(k, m, n)
     places = k ** np.arange(m * n - 1, -1, -1)
     for lo in range(0, k ** (m * n), chunk):
         digits = np.arange(lo, min(lo + chunk, k ** (m * n)))[:, None] // places % k
@@ -246,10 +262,11 @@ def sample_codebook(channel: CQChannel, m: int, n: int, seed: int) -> Codebook:
 
 def enumerate_codebooks(channel: CQChannel, m: int, n: int
                         ) -> Iterator[tuple[Codebook, float]]:
-    """Yield every codebook with its product probability under Q x ... x Q."""
-    _check_book(channel, m, n)
-    for idx, ((words,), (prob,)) in enumerate(_codeword_chunks(channel, m, n, 1)):
-        yield Codebook(m=m, n=n, codewords=words, provenance=("enumerated", idx)), float(prob)
+    """Every codebook with its product probability under Q x ... x Q, lazily; a size past a
+    cap is refused by the call, before the first codebook."""
+    _check_book(channel, m, n, enumerated=True)
+    return ((Codebook(m=m, n=n, codewords=words, provenance=("enumerated", idx)), float(prob))
+            for idx, ((words,), (prob,)) in enumerate(_codeword_chunks(channel, m, n, 1)))
 
 
 def product_state(channel: CQChannel, codeword) -> DensityOperator:
@@ -420,10 +437,6 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     letters = np.array([s.matrix for s in channel.states])  # (k, d, d)
     if not letters.imag.any():
         letters = letters.real
-    book_bytes = m * channel.dim ** (2 * n) * letters.itemsize
-    if book_bytes > BOOK_BYTES_CAP:
-        raise ValueError(f"the {m} product states of one codebook take {book_bytes} bytes, "
-                         f"over the cap {BOOK_BYTES_CAP}")
     if (far := 16 * m * m) > BOOK_BYTES_CAP:  # the orbit map's distances, summed and sorted
         raise ValueError(f"the {m} x {m} message distances of one codebook take {far} bytes, "
                          f"over the cap {BOOK_BYTES_CAP}")

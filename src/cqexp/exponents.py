@@ -41,6 +41,7 @@ R_MAX = 1e4  # the expurgated maximization searches r in [1, R_MAX]
 DIVERGENCE_MARGIN = 1e-9
 OVERLAP_POS_TOL = 1e-12
 _SWEEP_LANES = 256  # rates refined together: bounds the (lanes, grid) values and E0 stack
+RATE_CAP = 2 ** 16  # rates in one sweep (200 rates take 15-65 ms)
 
 _S_GRID = np.linspace(0.0, 1.0, S_GRID_POINTS)
 _R_GRID = np.logspace(0.0, math.log10(R_MAX), R_GRID_POINTS)
@@ -104,18 +105,28 @@ def _refuse_outside(raw, x: np.ndarray, ok: np.ndarray, rule: str) -> None:
         raise ValueError(f"{rule}, got {got}")
 
 
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a 1-d array, ascending, and the index of each entry among them,
+    as np.unique(x, return_inverse=True) gives them (whose first call imports numpy.ma)."""
+    ranked = np.sort(x)
+    values = np.append(ranked[:1], ranked[1:][ranked[1:] != ranked[:-1]])
+    return values, np.searchsorted(values, x)
+
+
 def e0(channel: CQChannel, s):
     """Random-coding base function E0(s, Q) in bits, at one tilt or an array of them.
 
     Defined for any finite s > -1 (the maximization over [0, 1] is done by
     random_coding_exponent); E0(0) = 0 and the slope at 0 is the Holevo
-    information.  A float tilt gives a float, an array an array of its shape.
+    information.  A float tilt gives a float, an array an array of its shape, each
+    distinct tilt computed once (-0.0 with 0.0: both give the same bits).
     """
     t = np.asarray(s, dtype=float)
     _refuse_outside(s, t, (-1.0 < t) & (t < math.inf), "E0 tilt must exceed -1 and be finite")
+    tilts, inverse = _distinct(t.ravel())
     # one exponent per eigenvalue, never broadcast: numpy swaps pow for sqrt or a square
     # on a broadcast 0.5 or 2, for some batch shapes only, so values would follow the batch
-    u = np.repeat(t.reshape(-1, 1), channel.dim, axis=1)
+    u = np.repeat(tilts.reshape(-1, 1), channel.dim, axis=1)
     p = 1.0 / (1.0 + u)
     acc = np.zeros((u.shape[0], channel.dim, channel.dim), dtype=complex)
     for qx, state in zip(channel.q.probabilities, channel.states):
@@ -125,7 +136,7 @@ def e0(channel: CQChannel, s):
         # 0**p == 0 since p > 0; the matmul form (v * w**p) @ v^H rounds differently
         acc += qx * np.einsum("ik,bk,jk->bij", v, state.eigenvalues ** p, v.conj())
     evs = _clamp_psd(np.linalg.eigvalsh(acc), "powered average state")
-    out = -np.log2(np.sum(evs ** (1.0 + u), axis=-1))
+    out = -np.log2(np.sum(evs ** (1.0 + u), axis=-1))[inverse]
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
@@ -134,11 +145,11 @@ def ex_function(channel: CQChannel, r):
 
     Finite for every finite r > 0: the diagonal overlap terms keep Z(1/r)
     at least sum_x Q(x)^2.  The expurgated maximization uses r >= 1.  A float
-    order gives a float, an array an array of its shape.
+    order gives a float, an array an array of its shape, each distinct order computed once.
     """
     x = np.asarray(r, dtype=float)
     _refuse_outside(r, x, (0.0 < x) & (x < math.inf), "Ex order must be positive and finite")
-    q, g, v = channel.q.probabilities, channel.overlap_gram, x.ravel()
+    (v, inverse), q, g = _distinct(x.ravel()), channel.q.probabilities, channel.overlap_gram
     # every order in one stack, bit-equal to its own (q @ g ** t) @ q with t = 1/r (0**t == 0):
     # one pow exponent per entry, never a broadcast scalar; t = 0.5 and 2 take the sqrt and
     # square that scalar ** takes; the stacked matmuls make one gemv and one dot per order
@@ -146,8 +157,14 @@ def ex_function(channel: CQChannel, r):
     p = np.repeat(t, g.size).reshape(-1, *g.shape)
     np.power(g, p, out=p)
     p[t == 0.5], p[t == 2.0] = np.sqrt(g), np.square(g)
-    out = -v * np.log2(np.matmul(np.matmul(q, p)[:, None, :], q)[:, 0])
+    out = (-v * np.log2(np.matmul(np.matmul(q, p)[:, None, :], q)[:, 0]))[inverse]
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _check_rate_count(count: int) -> None:
+    """Refuse more than RATE_CAP rates: the one rule for sweep and the CLI's rate grids."""
+    if count > RATE_CAP:
+        raise ValueError(f"{count} rates exceed the cap {RATE_CAP} of one sweep")
 
 
 def _rates(rates) -> np.ndarray:
@@ -220,10 +237,12 @@ def trc_lower_bound(channel: CQChannel, rate: float) -> RatePoint:
 
 
 def sweep(channel: CQChannel, rates) -> ExponentCurve:
-    """Evaluate trc_lower_bound over an ascending nonnegative rate grid, rates in lockstep."""
+    """Evaluate trc_lower_bound over an ascending nonnegative rate grid of at most RATE_CAP
+    rates, in lockstep."""
     r = _rates(np.ravel(rates))
     if r.size == 0:
         raise ValueError("rate grid is empty")
+    _check_rate_count(r.size)
     if np.any(np.diff(r) < 0):
         raise ValueError("rates must be sorted ascending")
     passes = np.array_split(r, -(-r.size // _SWEEP_LANES))

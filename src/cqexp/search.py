@@ -38,8 +38,8 @@ def golden_section_maximize(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
     if np.any(b < a):
         raise ValueError(f"empty search interval [{lo}, {hi}]")
-    best_x, best_f = a.copy(), f(a)
-    ends = b.copy(), f(b)
+    best_x, best_f = a, f(a)
+    ends = b, f(b)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
@@ -47,17 +47,17 @@ def golden_section_maximize(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         live = b - a > PARAM_TOL
         if not live.any():
             break
-        left = live & (fc >= fd)
-        right = live & ~left
-        b[left], d[left], fd[left] = d[left], c[left], fc[left]
-        c[left] = b[left] - GOLDEN * (b[left] - a[left])
-        a[right], c[right], fc[right] = c[right], d[right], fd[right]
-        d[right] = a[right] + GOLDEN * (b[right] - a[right])
+        left = live & (fc >= fd)  # keep [a, d]: d moves to c, and c is probed anew
+        right = live & ~left  # keep [c, b]: c moves to d, and d is probed anew
+        a, b, c, d = (np.where(right, c, a), np.where(left, d, b),
+                      np.where(left, d - GOLDEN * (d - a), np.where(right, d, c)),
+                      np.where(right, c + GOLDEN * (b - c), np.where(left, c, d)))
         fx = f(np.where(left, c, np.where(right, d, np.nan)))
-        fc[left], fd[right] = fx[left], fx[right]
+        fc, fd = (np.where(left, fx, np.where(right, fd, fc)),
+                  np.where(right, fx, np.where(left, fc, fd)))
     for x, fx in (ends, (c, fc), (d, fd)):
         up = fx > best_f
-        best_x[up], best_f[up] = x[up], fx[up]
+        best_x, best_f = np.where(up, x, best_x), np.where(up, fx, best_f)
     return best_x, best_f
 
 

@@ -153,6 +153,32 @@ def test_exponents_malformed_config_grid(tmp_path, capsys, doc, needle):
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
+@pytest.mark.parametrize("given", ["flag", "config-grid", "config-rates"])
+def test_a_rate_grid_over_the_cap_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                                given):
+    cap = cqexp.exponents.RATE_CAP
+    doc = {"channel": PAULI_DOC, "grid": {"min": 0.0, "max": 0.5, "count": cap + 1},
+           "rates": [0.25] * (cap + 1)}
+    cfg = write_config(tmp_path, {"channel": PAULI_DOC} if given == "flag" else
+                       {key: doc[key] for key in ("channel", given.split("-")[1])})
+    flags = ["--grid", f"0:0.5:{cap + 1}"] if given == "flag" else []
+    monkeypatch.setattr(np, "linspace", lambda *_: pytest.fail("the grid was built"))
+    monkeypatch.setattr("cqexp.exponents.sweep", lambda *_: pytest.fail("the sweep started"))
+    assert cli.main(["exponents", "--config", cfg, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"{cap + 1} rates exceed the cap {cap} of one sweep\n")
+
+
+def test_a_rate_grid_at_the_cap_reaches_the_sweep(tmp_path, monkeypatch):
+    cap, seen = cqexp.exponents.RATE_CAP, []
+    monkeypatch.setattr("cqexp.exponents.sweep", lambda ch, rates: seen.append(len(rates)) or [])
+    cfg = write_config(tmp_path, PAULI_DOC)
+    assert cli.main(["exponents", "--config", cfg, "--grid", f"0:0.5:{cap}",
+                     "--out", str(tmp_path / "curve.csv")]) == 0
+    assert seen == [cap]
+
+
 def test_exponents_no_grid_anywhere(tmp_path, capsys):
     cfg = write_config(tmp_path, PAULI_DOC)
     assert cli.main(["exponents", "--config", cfg]) == 1
@@ -623,6 +649,14 @@ def test_simulate_never_loads_numpy_random(tmp_path, mode):
     call = ["simulate", "--config", cfg, "--out", out, "--m", "2", "--n", "2", *mode]
     assert _loaded_after(f"from cqexp import cli\nassert cli.main({call!r}) == 0",
                          "numpy.random") == set()
+
+
+def test_exponents_loads_no_new_numpy_submodule(tmp_path):
+    # e0 and ex_function find their distinct arguments with a sort: np.unique would load numpy.ma
+    cfg, out = write_config(tmp_path, PAULI_DOC), str(tmp_path / "out")
+    call = ["exponents", "--config", cfg, "--out", out, "--grid", "0:0.5:20"]
+    assert _loaded_after(f"from cqexp import cli\nassert cli.main({call!r}) == 0", "numpy") == \
+        _loaded_after("from cqexp import cli", "numpy")
 
 
 def test_bare_import_loads_no_submodule():

@@ -830,6 +830,33 @@ def test_one_codebook_memory_cap(monkeypatch, exhaustive):
             run_ensemble(ch, m, 2, exhaustive=exhaustive, trials=None if exhaustive else 3)
 
 
+def test_one_codebook_is_priced_at_once_by_every_caller(monkeypatch):
+    # sample_codebook, enumerate_codebooks and run_ensemble share one price of a codebook's
+    # codeword array and product states; a one-letter alphabet passes the enumeration cap
+    calls = [lambda ch, m: sample_codebook(ch, m, 1, 0),
+             lambda ch, m: enumerate_codebooks(ch, m, 1),  # refused by the call, not by next()
+             lambda ch, m: run_ensemble(ch, m, 1, trials=2),
+             lambda ch, m: run_ensemble(ch, m, 1, exhaustive=True)]
+    m = 10 ** 12
+    with monkeypatch.context() as patch:
+        patch.setattr("cqexp.ensemble._codeword_chunks",
+                      lambda *_: pytest.fail("codebooks were drawn or enumerated"))
+        for call in calls:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^the {m} x 1 codewords of one codebook take "
+                                                 f"{8 * m} bytes, over the cap 1073741824$"):
+                call(identical_channel(1), m)
+            assert time.perf_counter() - start < 1.0
+        patch.setattr("cqexp.ensemble.BOOK_BYTES_CAP", 64)  # M = 2 real qubit states
+        for call in calls[:2]:
+            with pytest.raises(ValueError, match="^the 3 product states of one codebook take 96 "
+                                                 "bytes, over the cap 64$"):
+                call(PAULI_095, 3)
+    monkeypatch.setattr("cqexp.ensemble.BOOK_BYTES_CAP", 64)  # at the cap: drawn and enumerated
+    assert sample_codebook(PAULI_095, 2, 1, 0).codewords.shape == (2, 1)
+    assert len(list(enumerate_codebooks(PAULI_095, 2, 1))) == 4
+
+
 @pytest.mark.parametrize("exhaustive", [True, False])
 def test_message_distances_are_priced(monkeypatch, exhaustive):
     # the orbit map holds (M, M) int64 message distances and their sorted copy, 16 M**2 bytes

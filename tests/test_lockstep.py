@@ -226,3 +226,48 @@ def test_one_bad_order_in_an_array_raises_like_the_scalar_call(bad):
     with pytest.raises(ValueError) as batched:
         ex_function(channel, np.array([1.0, 3.5, bad, 40.0]))
     assert str(batched.value) == str(scalar.value)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 3),
+       st.lists(st.floats(-0.99, 2.0), max_size=6), st.lists(st.floats(0.1, 1e4), max_size=6))
+def test_repeated_and_permuted_arguments_equal_the_scalar_calls(seed, k, d, tilts, orders):
+    # each distinct argument is computed once and scattered back: how often an argument
+    # repeats, where it sits and the sign of a zero tilt change no bit
+    rng = np.random.default_rng(seed)
+    channel = random_channel(rng, k, d)
+    for f, args in ((e0, [0.0, -0.0, 0.5, 1.0, 2.0, *tilts]),
+                    (ex_function, [0.5, 1.0, 2.0, 1e4, *orders])):
+        x = rng.permutation(np.repeat(args, rng.integers(1, 4, len(args))))
+        want = np.array([f(channel, v) for v in x.tolist()])
+        assert f(channel, x).tobytes() == want.tobytes()
+        assert f(channel, x[::-1].reshape(-1, 1)).tobytes() == want[::-1].tobytes()
+
+
+def test_each_distinct_argument_is_computed_once(monkeypatch):
+    channel = random_channel(np.random.default_rng(4), 8, 4)
+    decomposed, powered = [], []
+    eigvalsh, power = np.linalg.eigvalsh, np.power
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: decomposed.append(len(a)) or eigvalsh(a))
+    monkeypatch.setattr(np, "power", lambda g, p, **kw: powered.append(len(p)) or power(g, p, **kw))
+    e0(channel, np.array([1.0, 0.0, 0.25, 1.0, -0.0, 0.25, 1.0, 0.7]))
+    ex_function(channel, np.array([[2.0, 1.0, 2.0], [1e4, 1.0, 2.0]]))
+    assert (decomposed, powered) == ([4], [3])  # -0.0 is 0.0
+    decomposed.clear()
+    entries, distinct, real = [], [], cqexp.exponents.e0
+
+    def counting(c, s):
+        entries.append(np.size(s))
+        distinct.append(len(set(np.ravel(s).tolist())))
+        return real(c, s)
+
+    monkeypatch.setattr(cqexp.exponents, "e0", counting)
+    sweep(channel, sweep_rates(channel, 60))
+    assert decomposed == distinct and sum(distinct) < sum(entries)  # lanes share end points
+
+
+def test_sweep_refuses_more_rates_than_the_cap(monkeypatch):
+    monkeypatch.setattr(cqexp.exponents, "e0", lambda *_: pytest.fail("E0 was evaluated"))
+    cap = cqexp.exponents.RATE_CAP
+    with pytest.raises(ValueError, match=f"^{cap + 1} rates exceed the cap {cap} of one sweep$"):
+        sweep(pauli_channel(0.9), np.zeros(cap + 1))
