@@ -255,15 +255,16 @@ def optimize_input(channel: CQChannel) -> tuple[InputDistribution, float]:
 
 
 def _numbers(value, ndim: int = 1, name: str = "value"):
-    """A JSON number (ndim 0), list of numbers (1) or list of such lists (2), as floats
-    nested alike; booleans, strings, null, objects and any other nesting are refused
-    under the given name.  The one rule for numbers in channel configs and run documents."""
+    """A number (ndim 0: an int or float, numpy's included), list of numbers (1) or list of
+    such lists (2), as floats nested alike; booleans, strings, null, objects and any other
+    nesting are refused under the given name.  The one rule for numbers in channel configs,
+    run documents, gamma and the tilt orders."""
     def walk(v, depth):
         if depth:
             if not isinstance(v, list):
                 raise TypeError
             return [walk(x, depth - 1) for x in v]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
             raise TypeError
         return float(v)  # OverflowError for an integer beyond the float range
     try:

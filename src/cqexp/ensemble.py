@@ -14,9 +14,9 @@ maps each distinct column histogram once to one orbit member (none varies: error
 Two equal columns give each message a factor sigma (x) sigma that keeps symmetric and
 antisymmetric two-site vectors apart: p pairs split a member into 2**p block problems.
 
-Caps: dimension d**n <= 4096, enumeration |X|**(M n) <= 2**20, 2**30 bytes of a codebook's
-codewords, its product states or its 16 M**2 bytes of message distances, or of a Monte-Carlo
-run's draws (trials (8 M (2 n + 1) + 250)), 256 KiB per chunk, 4 MiB per table of distinct words.
+Caps: _check_book refuses a run past one before anything is drawn or enumerated (dimension
+d**n <= 4096, enumeration |X|**(M n) <= 2**20, 2**30 bytes of a codebook or of a run's draws);
+256 KiB per chunk, and 4 MiB per table of block problems.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .channels import CQChannel, _count
+from .channels import CQChannel, _count, _numbers
 from .exponents import _check_gamma, _json_real, e0, ex_function
 from .qlinalg import DensityOperator, DIM_CAP, _eigh, _reject_drift, hermitian_eig, kron
 
 ENUM_CAP = 2 ** 20
-BOOK_BYTES_CAP = 2 ** 30  # product states of one codebook (M D^2 itemsize); a run's draws
+BOOK_BYTES_CAP = 2 ** 30  # one codebook's codewords, states or distances; a run's draws
 DECODE_CHUNK_BYTES = 2 ** 18  # product states, or codewords, held at once (one codebook at least)
 _TABLE_BYTES = 2 ** 22  # distinct-word product states of one table (one codebook's at least)
 SUPPORT_TOL = 1e-10  # eigenvalues of the state sum below this are not inverted
@@ -136,26 +136,29 @@ def _check_dims(channel: CQChannel, n: int) -> None:
         raise ValueError(f"product-state dimension {channel.dim}**{n} exceeds the cap {DIM_CAP}")
 
 
-def _check_enumeration(k: int, m: int, n: int) -> None:
-    if k ** min(m * n, ENUM_CAP.bit_length()) > ENUM_CAP:  # no huge power for huge M n
-        raise ValueError(f"enumeration space {k}**{m * n} exceeds the cap 2**20")
-
-
-def _check_book(channel: CQChannel, m: int, n: int, *, enumerated: bool = False) -> None:
-    """Refuse, before anything is built, a codebook size past a cap: the dimension d**n, with
-    ``enumerated`` the k**(M n) codebooks, and the bytes of one codebook's codeword array or
-    its product states (real when every letter is) against BOOK_BYTES_CAP."""
+def _check_book(channel: CQChannel, m: int, n: int, *, enumerated: bool = False,
+                trials: int | None = None) -> None:
+    """Refuse, before anything is drawn or enumerated, a run past a cap, in this order: M >= 2,
+    n >= 1 and the dimension d**n; with ``enumerated`` the k**(M n) codebooks; then against
+    BOOK_BYTES_CAP the bytes of one codebook's codeword array, its product states (real when
+    every letter is) and the orbit map's (M, M) int64 message distances and their sorted copy,
+    and with ``trials`` a Monte-Carlo run's draws.  A draw holds a distinct member, then its
+    block problem, as a key and stacked (16 M n), its table ids (8 M), and 250 bytes: a key's
+    header and dict entry, a seed, orbit ids, weights, P_e."""
     _count(m, 2, "need at least two codewords")
     _check_dims(channel, n)
-    m, n = int(m), int(n)
-    if enumerated:
-        _check_enumeration(channel.alphabet_size, m, n)
+    m, n, k = int(m), int(n), channel.alphabet_size
+    if enumerated and k ** min(m * n, ENUM_CAP.bit_length()) > ENUM_CAP:  # no huge power
+        raise ValueError(f"enumeration space {k}**{m * n} exceeds the cap 2**20")
     itemsize = 16 if any(s.matrix.imag.any() for s in channel.states) else 8
-    for size, what in ((8 * m * n, f"{m} x {n} codewords"),
-                       (m * channel.dim ** (2 * n) * itemsize, f"{m} product states")):
+    one = "of one codebook"
+    for size, what in ((8 * m * n, f"the {m} x {n} codewords {one}"),
+                       (m * channel.dim ** (2 * n) * itemsize, f"the {m} product states {one}"),
+                       (16 * m * m, f"the {m} x {m} message distances {one}"),
+                       ((trials or 0) * (8 * m * (2 * n + 1) + 250),  # 0 without trials
+                        f"{trials} draws of {m} x {n} codewords")):
         if size > BOOK_BYTES_CAP:
-            raise ValueError(f"the {what} of one codebook take {size} bytes, "
-                             f"over the cap {BOOK_BYTES_CAP}")
+            raise ValueError(f"{what} take {size} bytes, over the cap {BOOK_BYTES_CAP}")
 
 
 def _symbols(codewords) -> np.ndarray:
@@ -234,8 +237,8 @@ def _codeword_chunks(channel: CQChannel, m: int, n: int, chunk: int,
     """(B, M, n) int64 codeword arrays, B <= chunk, with their (B,) weights: each codebook
     in itertools.product order (its index's mixed-radix digits) with its probability, or
     per uint32 seed, or (T, w) entropy row, the default_rng(seed).choice(k, (M, n), p=Q) that
-    _uniforms draws a chunk at a time, weighted 1/len(seeds).  The caller validates m and n;
-    the enumeration refuses more than ENUM_CAP codebooks when it starts."""
+    _uniforms draws a chunk at a time, weighted 1/len(seeds).  The caller prices the run
+    (_check_book)."""
     k, q = channel.alphabet_size, channel.q.probabilities
     if seeds is not None:
         entropy, cdf = np.asarray(seeds, dtype=np.uint32).reshape(len(seeds), -1), np.cumsum(q)
@@ -244,7 +247,6 @@ def _codeword_chunks(channel: CQChannel, m: int, n: int, chunk: int,
             drawn = np.searchsorted(cdf / cdf[-1], uniforms, side="right")
             yield drawn, np.full(len(drawn), 1.0 / len(entropy))
         return
-    _check_enumeration(k, m, n)
     places = k ** np.arange(m * n - 1, -1, -1)
     for lo in range(0, k ** (m * n), chunk):
         digits = np.arange(lo, min(lo + chunk, k ** (m * n)))[:, None] // places % k
@@ -431,20 +433,12 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     errors.  Each distinct column histogram (a codebook's columns sorted) is mapped once by
     _orbit_members, each distinct member split once by _block_problems, and each distinct block
     problem decoded once, batched by dimension (no varying column: P_e = 1 - 1/M exactly), from
-    one table of the validated letters' (real when all are) products per dimension when all its
-    words fit in _TABLE_BYTES, else one per block of problems, in DECODE_CHUNK_BYTES chunks."""
-    _check_book(channel, m, n)
+    one table of the validated letters' (real when all are) products per block of
+    _TABLE_BYTES // (M word bytes) problems (one at least), in DECODE_CHUNK_BYTES chunks."""
+    _check_book(channel, m, n, enumerated=exhaustive, trials=None if exhaustive else trials)
     letters = np.array([s.matrix for s in channel.states])  # (k, d, d)
     if not letters.imag.any():
         letters = letters.real
-    if (far := 16 * m * m) > BOOK_BYTES_CAP:  # the orbit map's distances, summed and sorted
-        raise ValueError(f"the {m} x {m} message distances of one codebook take {far} bytes, "
-                         f"over the cap {BOOK_BYTES_CAP}")
-    # per trial: a distinct member, then its block problem, as a key and stacked (16 M n), its
-    # table ids (8 M), and 250: a key's header and dict entry, a seed, orbit ids, weights, P_e
-    if not exhaustive and (held := trials * (8 * m * (2 * n + 1) + 250)) > BOOK_BYTES_CAP:
-        raise ValueError(f"{trials} draws of {m} x {n} codewords take {held} bytes, "
-                         f"over the cap {BOOK_BYTES_CAP}")
     group = _letter_symmetries(letters)
     seeds = None if exhaustive else _seed_states(_entropy(seed), trials)[0]
     reps, orbits, weights = {}, [], []  # column histogram bytes -> histogram index
@@ -474,9 +468,7 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     for dim in set(dims.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma
         todo, word_bytes = np.flatnonzero(dims == dim), dim ** 2 * letters.itemsize
         step = max(1, DECODE_CHUNK_BYTES // (m * word_bytes))
-        most = sum(k ** (n - kind.count(0)) for kind in {tuple(r) for r in kinds[todo].tolist()})
-        block = (len(todo) if most * word_bytes <= _TABLE_BYTES
-                 else max(1, _TABLE_BYTES // (m * word_bytes)))  # block problems per table
+        block = max(1, _TABLE_BYTES // (m * word_bytes))  # block problems per table
         for rows in np.split(todo, range(block, len(todo), block)):
             table = {}  # word bytes -> row of the table
             word_ids = np.concatenate([_member_ids(problems[p].reshape(-1, n), table).reshape(-1, m)
@@ -542,7 +534,7 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
     A bound or threshold whose r-th power overflows a float is +inf; a threshold
     that underflows is the least positive float.
     """
-    r_list = tuple(float(r) for r in r_list)
+    r_list = tuple(_numbers(r, 0, "a tilt order") for r in r_list)
     if not all(1.0 <= r < math.inf for r in r_list):
         raise ValueError(f"tilt orders must be finite and >= 1, got {r_list}")
     if len({f"{r:g}" for r in r_list}) < len(r_list):  # the report keys orders by %g

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CQChannel, _count, holevo_information
+from .channels import CQChannel, _count, _numbers, holevo_information
 from .qlinalg import _clamp_psd
 from .search import _lanewise, maximize_on_grid
 
@@ -308,6 +308,7 @@ def overlap_exponent_half_var(channel: CQChannel) -> float:
 
 
 def _check_gamma(gamma: float) -> None:
+    _numbers(gamma, 0, "gamma")  # a bool or a string is refused, not read as a number
     if not 1.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be at least 1 and finite, got {gamma}")
 

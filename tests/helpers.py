@@ -33,7 +33,7 @@ from cqexp import (
     ex_function,
     expurgated_divergence_rate,
 )
-from cqexp.ensemble import ENUM_CAP, _check_book
+from cqexp.ensemble import _check_book
 from cqexp.exponents import _R_GRID, _S_GRID, DIVERGENCE_MARGIN
 from cqexp.search import GOLDEN, MAX_ITER, PARAM_TOL
 
@@ -239,13 +239,9 @@ def scalar_rate_point(channel: CQChannel, rate: float) -> RatePoint:
 def product_codebooks(channel: CQChannel, m: int, n: int
                       ) -> Iterator[tuple[Codebook, float]]:
     """Yield every codebook with its product probability under Q x ... x Q."""
-    _check_book(channel, m, n)
-    k = channel.alphabet_size
-    total = k ** (m * n)
-    if total > ENUM_CAP:
-        raise ValueError(f"enumeration space {k}**{m * n} exceeds the cap 2**20")
+    _check_book(channel, m, n, enumerated=True)
     q = channel.q.probabilities
-    for idx, flat in enumerate(itertools.product(range(k), repeat=m * n)):
+    for idx, flat in enumerate(itertools.product(range(channel.alphabet_size), repeat=m * n)):
         words = np.reshape(flat, (m, n))
         prob = float(np.prod(q[list(flat)]))
         yield Codebook(m=m, n=n, codewords=words, provenance=("enumerated", idx)), prob

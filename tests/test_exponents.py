@@ -283,8 +283,15 @@ def test_sweep_structure_and_validation():
     (lambda ch: trc_lower_bound(ch, math.nan), "nonnegative"),
     (lambda ch: optimal_tilt_estimate(ch, 4, 8, math.nan), "at least 1"),
     (lambda ch: verify_markov_bound(ch, 2, 2, math.inf, 2.0), "finite and >= 1"),
+    # a bool or a string is refused, not read as the number it converts to
+    (lambda ch: optimal_tilt_estimate(ch, 4, 6, True), "^gamma must be a number, got True$"),
+    (lambda ch: optimal_tilt_estimate(ch, 4, 6, "4"), "^gamma must be a number, got '4'$"),
+    (lambda ch: verify_markov_bound(ch, 2, 2, 1.0, True), "^gamma must be a number, got True$"),
+    (lambda ch: verify_markov_bound(ch, 2, 2, "2", 2.0),
+     "^a tilt order must be a number, got '2'$"),
 ], ids=["e0-inf", "e0-nan", "ex-inf", "ex-nan", "er-nan", "er-inf", "eex-nan", "trc-nan",
-        "tilt-gamma-nan", "markov-r-inf"])
+        "tilt-gamma-nan", "markov-r-inf", "tilt-gamma-bool", "tilt-gamma-str",
+        "markov-gamma-bool", "markov-r-str"])
 def test_single_point_functions_reject_non_finite(call, match):
     with pytest.raises(ValueError, match=match):
         call(from_classical_dmc([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5]))
