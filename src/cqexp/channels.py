@@ -12,12 +12,11 @@ cross-validation oracle throughout the tests).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .qlinalg import DensityOperator, overlap, von_neumann_entropy
+from .qlinalg import DensityOperator, _Record, overlap, von_neumann_entropy
 
 DIST_TOL = 1e-12
 ROW_TOL = 1e-12
@@ -35,8 +34,7 @@ class ChannelValidationError(ValueError):
         super().__init__("invalid channel: " + "; ".join(self.problems))
 
 
-@dataclass(frozen=True, eq=False)
-class InputDistribution:
+class InputDistribution(_Record):
     """Probability vector over the input alphabet (entries >= 0, sum 1 +- 1e-12)."""
 
     probabilities: np.ndarray
@@ -69,8 +67,7 @@ class InputDistribution:
         return self.size
 
 
-@dataclass(frozen=True, eq=False)
-class CQChannel:
+class CQChannel(_Record):
     """Validated classical-quantum channel: one density operator per symbol.
 
     Construction collects every failure (empty state list, a state that is
@@ -136,8 +133,7 @@ class CQChannel:
         return g
 
 
-@dataclass(frozen=True)
-class PauliChannelParams:
+class PauliChannelParams(_Record, eq=True):
     """Purity mu in [0.5, 1] and Bloch half-angle theta for the binary qubit channel."""
 
     mu: float

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
 from functools import reduce
 from typing import Iterator
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .channels import CQChannel, _count, _numbers
 from .exponents import _check_gamma, _json_real, e0, ex_function
-from .qlinalg import DensityOperator, DIM_CAP, _eigh, _reject_drift, hermitian_eig, kron
+from .qlinalg import DensityOperator, DIM_CAP, _eigh, _Record, _reject_drift, hermitian_eig, kron
 
 ENUM_CAP = 2 ** 20
 BOOK_BYTES_CAP = 2 ** 30  # one codebook's codewords, states or distances; a run's draws
@@ -43,8 +42,7 @@ MC_SIGMAS = 3.0
 RC_BOUND_GRID_POINTS = 65
 
 
-@dataclass(frozen=True, eq=False)
-class Codebook:
+class Codebook(_Record):
     """M codewords of length n over the input alphabet, with provenance.
 
     ``provenance`` is ("sampled", seed) or ("enumerated", index).
@@ -63,16 +61,14 @@ class Codebook:
         object.__setattr__(self, "codewords", words)
 
 
-@dataclass(frozen=True, eq=False)
-class DecodingResult:
+class DecodingResult(_Record):
     """Per-message error probabilities (clamped to [0, 1]) and their average."""
 
     per_message_error: np.ndarray
     average_error: float
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(_Record, eq=True):
     """One bound comparison, and the one verdict rule: PASS iff empirical <= bound + slack."""
 
     name: str
@@ -85,8 +81,7 @@ class BoundCheck:
         return "PASS" if self.empirical <= self.bound + self.slack else "FAIL"
 
 
-@dataclass(frozen=True, eq=False)
-class EnsembleReport:
+class EnsembleReport(_Record):
     """Full record of one ensemble run, JSON-serializable via to_json_dict."""
 
     decoder: str
@@ -118,7 +113,7 @@ class EnsembleReport:
             "mean_pe": self.mean_pe,
             "tilted_means": {f"{r:g}": _json_real(v) for r, v in self.tilted_means.items()},
             "exponent_samples": [_json_real(x) for x in self.exponent_samples],
-            "bound_checks": [{**asdict(c), "verdict": c.verdict, "bound": _json_real(c.bound),
+            "bound_checks": [{**vars(c), "verdict": c.verdict, "bound": _json_real(c.bound),
                               "empirical": _json_real(c.empirical)} for c in self.bound_checks],
         }
         if self.gamma is not None:
@@ -545,7 +540,7 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
     if gamma is not None:
         if not exhaustive:
             raise ValueError("the quantile check (gamma) needs exhaustive enumeration: it is exact")
-        _check_gamma(gamma)
+        gamma = _check_gamma(gamma)
     weights, pes = _decode_ensemble(channel, m, n, exhaustive=exhaustive,
                                     trials=trials, seed=seed)
 
@@ -575,19 +570,11 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
 
     # math.log2: numpy's SIMD np.log2 differs in the last bit on some doubles (moves samples)
     samples = tuple(-math.log2(p) / n if p > 0.0 else math.inf for p in pes.tolist())
-    return EnsembleReport(
-        decoder="pgm",
-        m=m, n=n,
-        exhaustive=exhaustive,
-        trials=None if exhaustive else trials,
-        seed=None if exhaustive else int(seed),
-        mean_pe=mean_pe,
-        tilted_means=tilted_means,
-        exponent_samples=samples,
-        bound_checks=tuple(checks),
-        gamma=gamma,
-        markov_checks=tuple(markov_checks),
-    )
+    return EnsembleReport(  # Python numbers, so the JSON document takes numpy counts too
+        decoder="pgm", m=int(m), n=int(n), exhaustive=exhaustive,
+        trials=None if exhaustive else int(trials), seed=None if exhaustive else int(seed),
+        mean_pe=mean_pe, tilted_means=tilted_means, exponent_samples=samples,
+        bound_checks=tuple(checks), gamma=gamma, markov_checks=tuple(markov_checks))
 
 
 def verify_markov_bound(channel: CQChannel, m: int, n: int, r: float,

@@ -27,12 +27,11 @@ are returned exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import CQChannel, _count, _numbers, holevo_information
-from .qlinalg import _clamp_psd
+from .qlinalg import _clamp_psd, _Record
 from .search import _lanewise, maximize_on_grid
 
 S_GRID_POINTS = 257
@@ -47,8 +46,7 @@ _S_GRID = np.linspace(0.0, 1.0, S_GRID_POINTS)
 _R_GRID = np.logspace(0.0, math.log10(R_MAX), R_GRID_POINTS)
 
 
-@dataclass(frozen=True)
-class ExponentValue:
+class ExponentValue(_Record, eq=True):
     """Result of a one-parameter maximization: value in bits, arg, convergence.
 
     ``value`` is math.inf when the maximization diverges; ``converged`` is
@@ -65,8 +63,7 @@ class ExponentValue:
         return math.isinf(self.value)
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(_Record, eq=True):
     """One rate sample, both exponent branches and their maximum; fields in CSV column order."""
 
     rate: float
@@ -81,8 +78,7 @@ class RatePoint:
 ExponentCurve = list[RatePoint]  # ordered by rate
 
 
-@dataclass(frozen=True)
-class ChannelThresholds:
+class ChannelThresholds(_Record, eq=True):
     """The `thresholds` document, one key per field (see channel_thresholds)."""
 
     capacity_at_q: float
@@ -307,10 +303,11 @@ def overlap_exponent_half_var(channel: CQChannel) -> float:
     return 0.5 * max(0.0, float(np.sum(ww * x * x)) - mean * mean)
 
 
-def _check_gamma(gamma: float) -> None:
-    _numbers(gamma, 0, "gamma")  # a bool or a string is refused, not read as a number
-    if not 1.0 <= gamma < math.inf:
+def _check_gamma(gamma: float) -> float:
+    value = _numbers(gamma, 0, "gamma")  # a bool or a string is refused, not read as a number
+    if not 1.0 <= value < math.inf:
         raise ValueError(f"gamma must be at least 1 and finite, got {gamma}")
+    return value
 
 
 def optimal_tilt_estimate(channel: CQChannel, num_messages: int, block_length: int,

@@ -8,12 +8,14 @@ whole package:
   negative is rejected as not positive semidefinite,
 * 0**p == 0 for every p > 0, so fractional powers act only on the support,
 * Kronecker products refuse to build matrices larger than 4096 x 4096.
+
+Every record of the package derives from _Record, a frozen-record base that,
+unlike a dataclass, builds no methods when a record class is defined.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +24,46 @@ HERMITIAN_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-10
 TRACE_TOL = 1e-9
 DIM_CAP = 4096
+
+
+class _Record:
+    """Frozen record that generates no code: a subclass's annotated names are its fields, in
+    order, and a class attribute of the same name is a default.  The fields are taken by
+    position or keyword, then self.__post_init__() runs (looked up per call, so a patched hook
+    runs too).  Records compare by identity, or with ``eq=True`` by their fields, hashed alike."""
+
+    def __init_subclass__(cls, eq: bool = False):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if eq:  # a value record holds its fields and nothing else
+            cls.__eq__ = lambda a, b: vars(a) == vars(b) if type(b) is type(a) else NotImplemented
+            cls.__hash__ = lambda a: hash(tuple(vars(a).values()))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) == len(fields) and not kwargs:
+            self.__dict__.update(zip(fields, args))
+        else:  # all by keyword in declaration order, or else bound like a call, with defaults
+            if args or tuple(kwargs) != fields:
+                from inspect import Parameter, Signature
+                bound = Signature([Parameter(name, Parameter.POSITIONAL_OR_KEYWORD,
+                                             default=vars(type(self)).get(name, Parameter.empty))
+                                   for name in fields]).bind(*args, **kwargs)
+                bound.apply_defaults()
+                kwargs = bound.arguments
+            self.__dict__.update(kwargs)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
@@ -60,8 +102,7 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"eigendecomposition did not converge for a {d}x{d} Hermitian matrix") from exc
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(_Record):
     """Eigenvalues in descending order with the matching eigenvector columns."""
 
     eigenvalues: np.ndarray
@@ -89,8 +130,7 @@ def _clamp_psd(w: np.ndarray, context: str) -> np.ndarray:
     return np.where(w < 0.0, 0.0, w)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(_Record):
     """Hermitian, positive semidefinite, unit-trace matrix.
 
     Hermiticity and trace are checked eagerly; the spectrum is computed on

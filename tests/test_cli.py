@@ -625,21 +625,29 @@ def _loaded_after(code: str, package: str = "cqexp") -> set[str]:
     return set(done.stdout.split())
 
 
-BASE_MODULES = {"cqexp", "cqexp.qlinalg", "cqexp.channels", "cqexp.cli"}
-EXPONENT_MODULES = {"cqexp.search", "cqexp.exponents"}
-
-
-@pytest.mark.parametrize("argv, extra", [
-    (["validate"], set()),
-    (["thresholds"], EXPONENT_MODULES),
-    (["exponents", "--grid", "0:0.5:3"], EXPONENT_MODULES),
-    (["simulate", "--m", "2", "--n", "1", "--exhaustive"], EXPONENT_MODULES | {"cqexp.ensemble"}),
-])
-def test_subcommand_loads_only_its_modules(tmp_path, argv, extra):
+def _subcommand_run(tmp_path, argv) -> str:
+    """Code that runs one subcommand on PAULI_DOC through cli.main."""
     cfg, out = write_config(tmp_path, PAULI_DOC), str(tmp_path / "out")
     call = argv[:1] + ["--config", cfg, "--out", out] + argv[1:]
-    assert _loaded_after(f"from cqexp import cli\nassert cli.main({call!r}) == 0") == \
-        BASE_MODULES | extra
+    return f"from cqexp import cli\nassert cli.main({call!r}) == 0"
+
+
+BASE_MODULES = {"cqexp", "cqexp.qlinalg", "cqexp.channels", "cqexp.cli"}
+EXPONENT_MODULES = {"cqexp.search", "cqexp.exponents"}
+SUBCOMMANDS = [["validate"], ["thresholds"], ["exponents", "--grid", "0:0.5:3"],
+               ["simulate", "--m", "2", "--n", "1", "--exhaustive"]]
+
+
+@pytest.mark.parametrize("argv, extra", zip(SUBCOMMANDS, [
+    set(), EXPONENT_MODULES, EXPONENT_MODULES, EXPONENT_MODULES | {"cqexp.ensemble"}]))
+def test_subcommand_loads_only_its_modules(tmp_path, argv, extra):
+    assert _loaded_after(_subcommand_run(tmp_path, argv)) == BASE_MODULES | extra
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[argv[0] for argv in SUBCOMMANDS])
+def test_subcommand_never_loads_dataclasses(tmp_path, argv):
+    # records are plain frozen classes: a dataclass compiles 4-6 methods per class at each start
+    assert _loaded_after(_subcommand_run(tmp_path, argv), "dataclasses") == set()
 
 
 @pytest.mark.parametrize("mode", [["--trials", "20"], ["--exhaustive"]])

@@ -1,7 +1,6 @@
 """Finite-blocklength ensemble runs: codebooks, decoding, bound verdicts."""
 
 import collections
-import dataclasses
 import itertools
 import json
 import math
@@ -18,6 +17,7 @@ from cqexp import (
     CQChannel,
     Codebook,
     DensityOperator,
+    EnsembleReport,
     InputDistribution,
     PauliChannelParams,
     binary_pauli,
@@ -968,6 +968,24 @@ def test_numpy_numbers_are_accepted_as_gamma_and_tilt_orders():
     assert optimal_tilt_estimate(ch, 4, 6, np.int64(4)) == optimal_tilt_estimate(ch, 4, 6, 4.0)
 
 
+PLAIN_RUNS = {"exhaustive": dict(m=2, n=2, exhaustive=True, gamma=4),
+              "monte-carlo": dict(m=2, n=2, trials=20, seed=3)}
+
+
+@pytest.mark.parametrize("mode, key, value", [
+    ("exhaustive", "m", np.int64(2)), ("exhaustive", "n", np.int64(2)),
+    ("exhaustive", "gamma", np.int64(4)), ("exhaustive", "gamma", np.float32(4.0)),
+    ("monte-carlo", "trials", np.int64(20)), ("monte-carlo", "n", np.int32(2))],
+    ids=["m-int64", "n-int64", "gamma-int64", "gamma-float32", "trials-int64", "mc-n-int32"])
+def test_report_fields_are_python_numbers(mode, key, value):
+    # a numpy count or gamma is stored as the int or float it stands for, so the document dumps
+    ch = pauli_channel(0.9)
+    want = run_ensemble(ch, **PLAIN_RUNS[mode]).to_json_dict()
+    got = run_ensemble(ch, **{**PLAIN_RUNS[mode], key: value}).to_json_dict()
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+
+
 def test_monte_carlo_refuses_one_draw(monkeypatch):
     # one draw has sample variance 0, so three standard errors of slack are 0 and the
     # verdict would rest on a single codebook: seed 13 gave a FAIL that way
@@ -1156,6 +1174,6 @@ def test_report_all_passed_covers_markov_checks():
     report = run_ensemble(pauli_channel(0.95), 2, 1, exhaustive=True, r_list=(1.0,), gamma=4.0)
     assert report.all_passed
     failed = BoundCheck("markov_bound_r1", bound=0.25, empirical=0.5, slack=1e-12)
-    broken = dataclasses.replace(report, markov_checks=((1.0, failed),))
+    broken = EnsembleReport(**{**vars(report), "markov_checks": ((1.0, failed),)})
     assert not broken.all_passed
     assert broken.to_json_dict()["markov_checks"][0]["verdict"] == "FAIL"

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import cqexp
 from cqexp import (
     DensityOperator,
+    InputDistribution,
     hermitian_eig,
     hermitianize,
     kron,
@@ -270,3 +272,73 @@ def test_kron_dimension_cap():
         kron(a, b)
     # 64 * 64 == 4096 is exactly within the cap
     assert kron(a, np.eye(64, dtype=complex)).shape == (4096, 4096)
+
+
+# --- records -------------------------------------------------------------------
+
+HALF = np.eye(2) / 2
+CHECK = cqexp.BoundCheck("mean_error_bound", 0.5, 0.25, 1e-12)
+# each public record: its fields in declaration order, and whether it compares by value
+RECORDS = {
+    "Spectrum": ({"eigenvalues": np.array([1.0, 0.0]), "eigenvectors": np.eye(2)}, False),
+    "DensityOperator": ({"matrix": HALF}, False),
+    "InputDistribution": ({"probabilities": np.array([0.25, 0.75])}, False),
+    "CQChannel": ({"states": (DensityOperator(HALF),), "q": None}, False),
+    "PauliChannelParams": ({"mu": 0.9, "theta": 0.5}, True),
+    "ExponentValue": ({"value": 0.1, "maximizer": 0.5, "converged": True}, True),
+    "RatePoint": ({"rate": 0.1, "e_r": 0.2, "e_ex_shifted": 0.3, "e_trc_lb": 0.3, "s_opt": 0.5,
+                   "r_opt": 2.0, "divergent": False}, True),
+    "ChannelThresholds": ({"capacity_at_q": 0.5, "r_star": 0.1, "r_inf": 0.05, "nu0": 1.0,
+                           "nu1": 0.5, "e_x_at_1": 0.2}, True),
+    "Codebook": ({"m": 2, "n": 1, "codewords": np.array([[0], [1]]),
+                  "provenance": ("sampled", 0)}, False),
+    "DecodingResult": ({"per_message_error": np.array([0.1, 0.2]), "average_error": 0.15}, False),
+    "BoundCheck": ({"name": "mean_error_bound", "bound": 0.5, "empirical": 0.25,
+                    "slack": 1e-12}, True),
+    "EnsembleReport": ({"decoder": "pgm", "m": 2, "n": 1, "exhaustive": True, "trials": None,
+                        "seed": None, "mean_pe": 0.25, "tilted_means": {1.0: 0.25},
+                        "exponent_samples": (2.0,), "bound_checks": (CHECK,), "gamma": None,
+                        "markov_checks": ()}, False),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name):
+    cls, (fields, by_value) = getattr(cqexp, name), RECORDS[name]
+    record, twin = cls(**fields), cls(*fields.values())
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    shown = ", ".join(f"{field}={getattr(record, field)!r}" for field in fields)
+    assert repr(record) == f"{name}({shown})"
+    if by_value:  # the fields, in order, are all the state: cli and to_json_dict read vars()
+        assert list(vars(record)) == list(fields)
+        assert record == twin and hash(record) == hash(twin) and record != fields
+    else:
+        assert record != twin and record == record and hash(record) == object.__hash__(record)
+
+
+def test_record_construction_runs_the_hook_and_orders_the_fields(monkeypatch):
+    # __post_init__ validates and normalizes, and is looked up per call, as a tracer patches it
+    assert InputDistribution([1.0 + 1e-13, -1e-13]).probabilities.tolist() == [1.0 + 1e-13, 0.0]
+    with pytest.raises(ValueError, match="purity"):
+        cqexp.PauliChannelParams(0.4, 0.0)
+    hooks = []
+    original = DensityOperator.__post_init__
+    monkeypatch.setattr(DensityOperator, "__post_init__",
+                        lambda self: hooks.append(original(self)))
+    DensityOperator(HALF)
+    assert len(hooks) == 1
+    # keywords in any order, positions and keywords mixed, and defaults give declaration order
+    fields = RECORDS["RatePoint"][0]
+    point = cqexp.RatePoint(**dict(reversed(fields.items())))
+    assert list(vars(point)) == list(fields) and point == cqexp.RatePoint(*fields.values())
+    report = RECORDS["EnsembleReport"][0]
+    later = {k: v for k, v in report.items() if k not in ("decoder", "gamma", "markov_checks")}
+    assert vars(cqexp.EnsembleReport("pgm", **dict(reversed(later.items())))) == report
+    for args, kwargs in [((0.1,), {}), ((0.1, 0.2, 0.3, 0.3, 0.5, 2.0, False, 1), {}),
+                         ((0.1,), {**fields}), ((), {**fields, "extra": 1})]:
+        with pytest.raises(TypeError):
+            cqexp.RatePoint(*args, **kwargs)
