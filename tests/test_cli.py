@@ -199,11 +199,14 @@ def test_shipped_outputs_equal_the_bench_references(tmp_path, stem):
         assert out.read_bytes() == (ROOT / "bench" / "reference" / f"{stem}{suffix}").read_bytes()
 
 
+EXACT_MARKOV_ARGV = ["--config", str(ROOT / "configs" / "bsc_p010.json"), "--m", "3", "--n", "3",
+                     "--exhaustive", "--gamma", "16", "--r-list", "1,2,4"]
+
+
 # recorded from the command line; a change that moves a sample on purpose re-records them
 @pytest.mark.parametrize("name, argv", [
     ("simulate_mu095", ["--config", str(ROOT / "configs" / "simulate_mu095.json")]),
-    ("exact_markov_bsc_p010", ["--config", str(ROOT / "configs" / "bsc_p010.json"), "--m", "3",
-                               "--n", "3", "--exhaustive", "--gamma", "16", "--r-list", "1,2,4"]),
+    ("exact_markov_bsc_p010", EXACT_MARKOV_ARGV),
 ])
 def test_shipped_simulate_outputs_equal_the_recorded_ones(tmp_path, name, argv):
     out = tmp_path / f"{name}.json"
@@ -615,21 +618,28 @@ def test_help_still_exits_0(capsys, argv):
 # --- start-up: each subcommand loads only the modules it runs -----------------
 
 
+def _python(*args, check: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the package's sources, in the repo root; output as bytes."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT, check=check,
+                          capture_output=True)
+
+
 def _loaded_after(code: str, package: str = "cqexp") -> set[str]:
     """The package's modules in sys.modules after running code in a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     names = f"' '.join(m for m in sys.modules if m.startswith({package!r}))"
-    probe = f"import sys\n{code}\nprint({names})"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT, check=True,
-                          capture_output=True, text=True)
-    return set(done.stdout.split())
+    return set(_python("-c", f"import sys\n{code}\nprint({names})").stdout.decode().split())
+
+
+def _subcommand_call(tmp_path, argv) -> list[str]:
+    """The argv that runs one subcommand on PAULI_DOC, writing to a file in tmp_path."""
+    cfg, out = write_config(tmp_path, PAULI_DOC), str(tmp_path / "out")
+    return argv[:1] + ["--config", cfg, "--out", out] + argv[1:]
 
 
 def _subcommand_run(tmp_path, argv) -> str:
     """Code that runs one subcommand on PAULI_DOC through cli.main."""
-    cfg, out = write_config(tmp_path, PAULI_DOC), str(tmp_path / "out")
-    call = argv[:1] + ["--config", cfg, "--out", out] + argv[1:]
-    return f"from cqexp import cli\nassert cli.main({call!r}) == 0"
+    return f"from cqexp import cli\nassert cli.main({_subcommand_call(tmp_path, argv)!r}) == 0"
 
 
 BASE_MODULES = {"cqexp", "cqexp.qlinalg", "cqexp.channels", "cqexp.cli"}
@@ -650,6 +660,23 @@ def test_subcommand_never_loads_dataclasses(tmp_path, argv):
     assert _loaded_after(_subcommand_run(tmp_path, argv), "dataclasses") == set()
 
 
+def _freeze_count_at_exit(code: str) -> int:
+    """gc.get_freeze_count() as a fresh interpreter running code exits with status 0."""
+    hook = "import atexit, gc, sys\natexit.register(lambda: print(gc.get_freeze_count()))\n"
+    return int(_python("-c", hook + code).stdout.split()[-1])
+
+
+@pytest.mark.parametrize("argv", [*SUBCOMMANDS, ["--help"]],
+                         ids=[argv[0] for argv in SUBCOMMANDS] + ["help"])
+def test_only_the_console_entry_freezes_the_gc(tmp_path, argv):
+    # run() ends the process, so it freezes what is left for the exit collections to skip;
+    # main() is also the library entry and leaves the collector as it found it
+    call = argv if argv == ["--help"] else _subcommand_call(tmp_path, argv)
+    assert _freeze_count_at_exit(f"from cqexp import cli\nsys.argv = ['cqexp', *{call!r}]\n"
+                                 f"cli.run()") > 0
+    assert _freeze_count_at_exit(f"from cqexp import cli\nsys.exit(cli.main({call!r}))") == 0
+
+
 @pytest.mark.parametrize("mode", [["--trials", "20"], ["--exhaustive"]])
 def test_simulate_never_loads_numpy_random(tmp_path, mode):
     # the Monte-Carlo stream is computed in the package; numpy.random is only its test oracle
@@ -665,6 +692,29 @@ def test_exponents_loads_no_new_numpy_submodule(tmp_path):
     call = ["exponents", "--config", cfg, "--out", out, "--grid", "0:0.5:20"]
     assert _loaded_after(f"from cqexp import cli\nassert cli.main({call!r}) == 0", "numpy") == \
         _loaded_after("from cqexp import cli", "numpy")
+
+
+# --- the process: `python -m cqexp.cli`, as the bench spawns it -------------------
+
+
+def test_process_stdout_equals_main_in_process(capsys):
+    argv = ["validate", "--config", str(ROOT / "configs" / "pauli_mu095.json")]
+    done = _python("-m", "cqexp.cli", *argv)
+    assert cli.main(argv) == 0
+    assert done.stdout == capsys.readouterr().out.encode() and done.stderr == b""
+
+
+def test_process_refusal_is_one_error_line_and_exit_1(tmp_path):
+    argv = ["simulate", "--config", write_config(tmp_path, PAULI_DOC), "--trials", "1.5"]
+    done = _python("-m", "cqexp.cli", *argv, check=False)
+    assert done.returncode == 1 and done.stdout == b""
+    assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
+
+
+def test_process_output_equals_the_recorded_one(tmp_path):
+    name = "exact_markov_bsc_p010.json"
+    _python("-m", "cqexp.cli", "simulate", *EXACT_MARKOV_ARGV, "--out", str(tmp_path / name))
+    assert (tmp_path / name).read_bytes() == (ROOT / "tests" / "reference" / name).read_bytes()
 
 
 def test_bare_import_loads_no_submodule():
