@@ -25,10 +25,10 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .channels import _numbers, channel_from_config
+if TYPE_CHECKING:  # numpy and the package load in the functions that use them, once main runs
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,6 +66,8 @@ def _load_channel(args):
     if set(run) - set(RUN_KEYS):
         raise ValueError(f"unknown run keys {sorted(set(run) - set(RUN_KEYS))}: a run document "
                          f"holds 'channel' and {', '.join(RUN_KEYS)}")
+    from .channels import channel_from_config
+
     try:
         channel = channel_from_config(channel_doc)
     except ValueError as exc:
@@ -95,6 +97,8 @@ def _grid_from_parts(lo: float, hi: float, count: int) -> np.ndarray:
         raise ValueError(f"grid max must be finite and exceed min, got [{lo}, {hi}]")
     if count < 2:
         raise ValueError(f"grid needs at least 2 points, got {count}")
+    import numpy as np
+
     from .exponents import _check_rate_count  # only `exponents` reads a rate grid
 
     _check_rate_count(count)
@@ -119,7 +123,11 @@ def _tilt_orders(text: str) -> list[float]:
 
 
 def _rates(run: dict) -> np.ndarray:
+    from .channels import _numbers
+
     if run.get("rates") is not None:  # the --grid rates, or the config's, win over its 'grid'
+        import numpy as np
+
         from .exponents import _check_rate_count  # only `exponents` reads a rate grid
 
         rates = _numbers(run["rates"], 1, "config 'rates'")
@@ -182,6 +190,8 @@ def _param(run: dict, key: str, convert):
     try:
         return convert(run[key])
     except (TypeError, ValueError, OverflowError) as exc:
+        from .channels import _numbers
+
         kind = {_integer: "an integer", _numbers: "a list of numbers",
                 _boolean: "true or false"}.get(convert, "numeric")
         raise ValueError(
@@ -190,6 +200,7 @@ def _param(run: dict, key: str, convert):
 
 def cmd_simulate(args) -> int:
     """run_ensemble on the given run keys (null is not given), so it holds every default."""
+    from .channels import _numbers
     from .ensemble import run_ensemble
 
     channel, run = _load_channel(args)
@@ -266,9 +277,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    gc.disable()  # a run leaves a few cyclic objects: collections while numpy loads free nothing
     try:
         code = main()
-    finally:  # the exit collections skip frozen objects: 21 ms less teardown per process
+    finally:  # the exit collections skip frozen objects, so they neither walk nor free them
         gc.freeze()
     sys.exit(code)
 

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, flag handling, exit codes."""
 
+import gc
 import importlib
 import json
 import math
@@ -22,6 +23,7 @@ from cqexp import (
     overlap_exponent_half_var,
     overlap_exponent_mean,
     product_state,
+    run_ensemble,
     sweep,
 )
 from cqexp import cli
@@ -660,21 +662,65 @@ def test_subcommand_never_loads_dataclasses(tmp_path, argv):
     assert _loaded_after(_subcommand_run(tmp_path, argv), "dataclasses") == set()
 
 
-def _freeze_count_at_exit(code: str) -> int:
-    """gc.get_freeze_count() as a fresh interpreter running code exits with status 0."""
-    hook = "import atexit, gc, sys\natexit.register(lambda: print(gc.get_freeze_count()))\n"
-    return int(_python("-c", hook + code).stdout.split()[-1])
+def _gc_at_exit(call: str) -> tuple[bool, int, bool]:
+    """gc.isenabled(), gc.get_freeze_count() and whether no collection ran since call began,
+    read at exit by a fresh interpreter that imports cli and runs call, exiting with status 0."""
+    code = ("import atexit, gc, sys\nfrom cqexp import cli\n"
+            "totals = lambda: [s['collections'] for s in gc.get_stats()]\n"
+            "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count(), "
+            f"totals() == before))\nbefore = totals()\n{call}")
+    enabled, frozen, untouched = _python("-c", code).stdout.split()[-3:]
+    return enabled == b"True", int(frozen), untouched == b"True"
 
 
 @pytest.mark.parametrize("argv", [*SUBCOMMANDS, ["--help"]],
                          ids=[argv[0] for argv in SUBCOMMANDS] + ["help"])
 def test_only_the_console_entry_freezes_the_gc(tmp_path, argv):
-    # run() ends the process, so it freezes what is left for the exit collections to skip;
-    # main() is also the library entry and leaves the collector as it found it
+    # run() ends the process: it turns the collector off before numpy loads, so no collection
+    # runs, and freezes what is left for the exit collections to skip; main() is also the
+    # library entry and leaves the collector as it found it
     call = argv if argv == ["--help"] else _subcommand_call(tmp_path, argv)
-    assert _freeze_count_at_exit(f"from cqexp import cli\nsys.argv = ['cqexp', *{call!r}]\n"
-                                 f"cli.run()") > 0
-    assert _freeze_count_at_exit(f"from cqexp import cli\nsys.exit(cli.main({call!r}))") == 0
+    enabled, frozen, untouched = _gc_at_exit(f"sys.argv = ['cqexp', *{call!r}]\ncli.run()")
+    assert not enabled and frozen > 0 and untouched
+    enabled, frozen, _ = _gc_at_exit(f"sys.exit(cli.main({call!r}))")
+    assert enabled and frozen == 0
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["--help"], 0), (["simulate", "--config", "CFG", "--trials", "1.5"], 1)],
+    ids=["help", "refusal"])
+def test_help_and_refusals_load_no_numpy(tmp_path, argv, status):
+    # cli imports only the stdlib: argparse answers before numpy or a channel loads
+    call = [write_config(tmp_path, PAULI_DOC) if a == "CFG" else a for a in argv]
+    code = (f"import contextlib, io\nfrom cqexp import cli\nsys.argv = ['cqexp', *{call!r}]\n"
+            f"try:\n    with contextlib.redirect_stdout(io.StringIO()):  # the usage text\n"
+            f"        cli.run()\nexcept SystemExit as exc:\n"
+            f"    assert exc.code == {status}, exc.code")
+    assert _loaded_after(code, "numpy") == set()
+    assert "cqexp.channels" not in _loaded_after(code)
+
+
+@pytest.mark.parametrize("small, large", [
+    (lambda ch: run_ensemble(ch, 2, 2, exhaustive=True),
+     lambda ch: run_ensemble(ch, 2, 8, exhaustive=True)),
+    (lambda ch: run_ensemble(ch, 4, 6, trials=10),
+     lambda ch: run_ensemble(ch, 4, 6, trials=10_000)),
+    (lambda ch: sweep(ch, np.linspace(0, 0.7, 10)),
+     lambda ch: sweep(ch, np.linspace(0, 0.7, 10_000))),
+], ids=["exhaustive", "monte-carlo", "sweep"])
+def test_cyclic_garbage_does_not_grow_with_the_work(small, large):
+    # run() leaves the collector off for the whole process, which is sound only while a run
+    # leaves a fixed few unreachable cycles whatever its size
+    ch = channel_from_config(PAULI_DOC)
+    gc.collect()
+    gc.disable()
+    try:
+        small(ch)
+        left_small = gc.collect()
+        large(ch)
+        assert gc.collect() == left_small
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("mode", [["--trials", "20"], ["--exhaustive"]])
@@ -691,7 +737,7 @@ def test_exponents_loads_no_new_numpy_submodule(tmp_path):
     cfg, out = write_config(tmp_path, PAULI_DOC), str(tmp_path / "out")
     call = ["exponents", "--config", cfg, "--out", out, "--grid", "0:0.5:20"]
     assert _loaded_after(f"from cqexp import cli\nassert cli.main({call!r}) == 0", "numpy") == \
-        _loaded_after("from cqexp import cli", "numpy")
+        _loaded_after("import numpy\nfrom cqexp import cli", "numpy")
 
 
 # --- the process: `python -m cqexp.cli`, as the bench spawns it -------------------
