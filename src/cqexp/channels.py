@@ -250,21 +250,25 @@ def optimize_input(channel: CQChannel) -> tuple[InputDistribution, float]:
 # any other key, in the document or in a generic state, is refused.
 
 
+def _floats(v, depth: int):
+    """v as floats nested depth lists deep; TypeError for anything else.  A module function,
+    not a closure in _numbers: a recursive closure is a reference cycle only the GC frees."""
+    if depth:
+        if not isinstance(v, list):
+            raise TypeError
+        return [_floats(x, depth - 1) for x in v]
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise TypeError
+    return float(v)  # OverflowError for an integer beyond the float range
+
+
 def _numbers(value, ndim: int = 1, name: str = "value"):
     """A number (ndim 0: an int or float, numpy's included), list of numbers (1) or list of
     such lists (2), as floats nested alike; booleans, strings, null, objects and any other
     nesting are refused under the given name.  The one rule for numbers in channel configs,
     run documents, gamma and the tilt orders."""
-    def walk(v, depth):
-        if depth:
-            if not isinstance(v, list):
-                raise TypeError
-            return [walk(x, depth - 1) for x in v]
-        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-            raise TypeError
-        return float(v)  # OverflowError for an integer beyond the float range
     try:
-        return walk(value, ndim)
+        return _floats(value, ndim)
     except (TypeError, OverflowError):
         kind = ("a number", "a list of numbers", "a list of lists of numbers")[ndim]
         raise ValueError(f"{name} must be {kind}, got {value!r}") from None

@@ -20,6 +20,7 @@ Infinities are written "inf".
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import math
@@ -154,7 +155,14 @@ def _check_out(out: str | None) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a reader gone, say: the exit then flushes the rest to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ValueError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -280,9 +288,20 @@ def run() -> None:
     gc.disable()  # a run leaves a few cyclic objects: collections while numpy loads free nothing
     try:
         code = main()
-    finally:  # the exit collections skip frozen objects, so they neither walk nor free them
+    finally:  # where the process finalizes, its exit collections skip what is frozen
         gc.freeze()
-    sys.exit(code)
+    # main returned: do what finalization would and skip its teardown.  That is sound because
+    # cqexp starts no Python threads and every file it writes is closed by a `with` block
+    # before main returns, so what is left is the exit functions and the standard streams.
+    # An exception from main, --help's SystemExit included, finalizes as usual.
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when its fd was closed at start, as with `>&-`
+                stream.flush()
+    except OSError:  # finalization flushes again and reports it, as without the fast exit
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -400,14 +400,18 @@ def test_simulate_missing_block_parameters(tmp_path, capsys):
     assert "'m'" in capsys.readouterr().err
 
 
-def test_simulate_failed_verdict_exit_code(tmp_path, monkeypatch):
-    fake = EnsembleReport(
+def failed_report(*args, **kwargs) -> EnsembleReport:
+    """A run_ensemble stand-in: a report whose one bound check fails, so simulate exits 2."""
+    return EnsembleReport(
         decoder="pgm", m=2, n=1, exhaustive=True, trials=None, seed=None,
         mean_pe=0.9, tilted_means={1.0: 0.9}, exponent_samples=(0.1,),
         bound_checks=(BoundCheck(name="mean_error_bound", bound=0.5,
                                  empirical=0.9, slack=0.0),),
     )
-    monkeypatch.setattr("cqexp.ensemble.run_ensemble", lambda *a, **k: fake)
+
+
+def test_simulate_failed_verdict_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr("cqexp.ensemble.run_ensemble", failed_report)
     cfg = write_config(tmp_path, PAULI_DOC)
     out = tmp_path / "report.json"
     code = cli.main(["simulate", "--config", cfg, "--m", "2", "--n", "1",
@@ -620,10 +624,18 @@ def test_help_still_exits_0(capsys, argv):
 # --- start-up: each subcommand loads only the modules it runs -----------------
 
 
-def _python(*args, check: bool = True) -> subprocess.CompletedProcess:
-    """A fresh interpreter on the package's sources, in the repo root; output as bytes."""
+def _env(buffered: bool = False) -> dict[str, str]:
+    """The environment of a fresh interpreter on the package's sources.  buffered drops
+    PYTHONUNBUFFERED (a bench host sets it), so that stdout to a pipe is block-buffered."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT, check=check,
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _python(*args, check: bool = True, buffered: bool = False) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the package's sources, in the repo root; output as bytes."""
+    return subprocess.run([sys.executable, *args], env=_env(buffered), cwd=ROOT, check=check,
                           capture_output=True)
 
 
@@ -662,14 +674,26 @@ def test_subcommand_never_loads_dataclasses(tmp_path, argv):
     assert _loaded_after(_subcommand_run(tmp_path, argv), "dataclasses") == set()
 
 
+def _at_exit(call: str, probe: str) -> tuple[int, list[bytes]]:
+    """The exit status of a fresh interpreter that imports cli, registers an atexit handler
+    printing the items of probe (an expression) as stdout's last line, and runs call; and those
+    items.  stdout is block-buffered, so the line shows only if the exit flushes after the
+    handlers run, whether cli.run() ends the process through os._exit or through SystemExit."""
+    code = ("import atexit, gc, sys\nfrom cqexp import cli\n"
+            f"atexit.register(lambda: print('atexit:', *{probe}))\n{call}")
+    done = _python("-c", code, check=False, buffered=True)
+    last = (done.stdout.splitlines() or [b""])[-1].split()
+    assert last[:1] == [b"atexit:"], (done.stdout[-200:], done.stderr)
+    return done.returncode, last[1:]
+
+
 def _gc_at_exit(call: str) -> tuple[bool, int, bool]:
     """gc.isenabled(), gc.get_freeze_count() and whether no collection ran since call began,
     read at exit by a fresh interpreter that imports cli and runs call, exiting with status 0."""
-    code = ("import atexit, gc, sys\nfrom cqexp import cli\n"
-            "totals = lambda: [s['collections'] for s in gc.get_stats()]\n"
-            "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count(), "
-            f"totals() == before))\nbefore = totals()\n{call}")
-    enabled, frozen, untouched = _python("-c", code).stdout.split()[-3:]
+    status, (enabled, frozen, untouched) = _at_exit(
+        f"totals = lambda: [s['collections'] for s in gc.get_stats()]\nbefore = totals()\n{call}",
+        "(gc.isenabled(), gc.get_freeze_count(), totals() == before)")
+    assert status == 0
     return enabled == b"True", int(frozen), untouched == b"True"
 
 
@@ -690,14 +714,11 @@ def test_only_the_console_entry_freezes_the_gc(tmp_path, argv):
     (["--help"], 0), (["simulate", "--config", "CFG", "--trials", "1.5"], 1)],
     ids=["help", "refusal"])
 def test_help_and_refusals_load_no_numpy(tmp_path, argv, status):
-    # cli imports only the stdlib: argparse answers before numpy or a channel loads
+    # cli imports only the stdlib: argparse answers before numpy or a channel loads.  The probe
+    # reads sys.modules at exit, as the refusal's run() ends the process without returning
     call = [write_config(tmp_path, PAULI_DOC) if a == "CFG" else a for a in argv]
-    code = (f"import contextlib, io\nfrom cqexp import cli\nsys.argv = ['cqexp', *{call!r}]\n"
-            f"try:\n    with contextlib.redirect_stdout(io.StringIO()):  # the usage text\n"
-            f"        cli.run()\nexcept SystemExit as exc:\n"
-            f"    assert exc.code == {status}, exc.code")
-    assert _loaded_after(code, "numpy") == set()
-    assert "cqexp.channels" not in _loaded_after(code)
+    loaded = "[m for m in sys.modules if m.startswith('numpy') or m == 'cqexp.channels']"
+    assert _at_exit(f"sys.argv = ['cqexp', *{call!r}]\ncli.run()", loaded) == (status, [])
 
 
 @pytest.mark.parametrize("small, large", [
@@ -710,15 +731,14 @@ def test_help_and_refusals_load_no_numpy(tmp_path, argv, status):
 ], ids=["exhaustive", "monte-carlo", "sweep"])
 def test_cyclic_garbage_does_not_grow_with_the_work(small, large):
     # run() leaves the collector off for the whole process, which is sound only while a run
-    # leaves a fixed few unreachable cycles whatever its size
-    ch = channel_from_config(PAULI_DOC)
+    # leaves a fixed few unreachable cycles whatever its size; it leaves none, its channel
+    # config included (a recursive closure in _numbers once left one cycle a call)
     gc.collect()
     gc.disable()
     try:
-        small(ch)
-        left_small = gc.collect()
-        large(ch)
-        assert gc.collect() == left_small
+        for work in (small, large):
+            work(channel_from_config(PAULI_DOC))
+            assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -761,6 +781,80 @@ def test_process_output_equals_the_recorded_one(tmp_path):
     name = "exact_markov_bsc_p010.json"
     _python("-m", "cqexp.cli", "simulate", *EXACT_MARKOV_ARGV, "--out", str(tmp_path / name))
     assert (tmp_path / name).read_bytes() == (ROOT / "tests" / "reference" / name).read_bytes()
+
+
+# more rows than a 64 KiB pipe holds
+LONG_CURVE = ["exponents", "--config", str(ROOT / "configs" / "pauli_mu095.json"),
+              "--grid", "0:0.7:4000"]
+
+
+def test_process_buffered_stdout_is_complete_through_a_pipe(capsys):
+    # run() ends with os._exit, which flushes nothing: what is buffered is flushed before it
+    done = _python("-m", "cqexp.cli", *LONG_CURVE, buffered=True)
+    assert cli.main(LONG_CURVE) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) > 65536 and done.stdout == out and done.stderr == b""
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["validate", "--config", str(ROOT / "configs" / "pauli_mu095.json")], 0),
+    (LONG_CURVE, 10)], ids=["closed-before-output", "closed-mid-output"])
+def test_process_closed_stdout_is_one_error_line_and_exit_1(argv, read):
+    # a reader that stops early, as `| head -c 10` does, gets the one-line refusal that an
+    # unwritable --out gets, and no BrokenPipeError from the write or from the exit's flush
+    with subprocess.Popen([sys.executable, "-m", "cqexp.cli", *argv], env=_env(buffered=True),
+                          cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert len(child.stdout.read(read)) == read
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+    assert err.startswith(b"error: cannot write stdout: ") and err.count(b"\n") == 1
+    assert b"Traceback" not in err
+
+
+def _failed_verdict(argv: list[str]) -> str:
+    """Code that runs cli.run() on argv with run_ensemble replaced by failed_report."""
+    return ("sys.path.insert(0, 'tests')\nimport cqexp.ensemble\n"
+            "from test_cli import failed_report\ncqexp.ensemble.run_ensemble = failed_report\n"
+            f"sys.argv = ['cqexp', *{argv!r}]\ncli.run()")
+
+
+def test_process_failed_verdict_exits_2_with_its_whole_report(tmp_path, monkeypatch):
+    argv = ["simulate", "--config", write_config(tmp_path, PAULI_DOC), "--m", "2", "--n", "1",
+            "--exhaustive", "--out"]
+    assert _at_exit(_failed_verdict(argv + [str(tmp_path / "run.json")]), "()") == (2, [])
+    monkeypatch.setattr("cqexp.ensemble.run_ensemble", failed_report)
+    assert cli.main(argv + [str(tmp_path / "main.json")]) == 2
+    assert (tmp_path / "run.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+@pytest.mark.parametrize("status", [0, 1, 2])
+def test_process_runs_the_exit_handlers_on_every_exit_code(tmp_path, status):
+    cfg, out = write_config(tmp_path, PAULI_DOC), str(tmp_path / "out")
+    call = {0: f"sys.argv = ['cqexp', 'validate', '--config', {cfg!r}]\ncli.run()",
+            1: f"sys.argv = ['cqexp', 'validate', '--config', {out!r}]\ncli.run()",
+            2: _failed_verdict(["simulate", "--config", cfg, "--m", "2", "--n", "1",
+                                "--exhaustive", "--out", out])}[status]
+    assert _at_exit(call, "['handler', 'ran']") == (status, [b"handler", b"ran"])
+
+
+def test_process_with_stdout_closed_at_start_writes_its_out_file(tmp_path):
+    # sys.stdout is None when fd 1 is closed before the interpreter starts
+    out = tmp_path / "validate.txt"
+    argv = ["validate", "--config", str(ROOT / "configs" / "pauli_mu095.json"), "--out", str(out)]
+    done = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "cqexp.cli",
+                           *argv], env=_env(), cwd=ROOT, capture_output=True)
+    assert done.returncode == 0 and done.stderr == b""
+    assert out.read_text().startswith("OK: 2 states of dimension 2\n")
+
+
+def test_process_exception_from_main_is_a_traceback_and_exit_1():
+    # only a code returned by main takes the fast exit: anything raised finalizes as usual
+    code = ("from cqexp import cli\ndef main():\n    raise RuntimeError('not a refusal')\n"
+            "cli.main = main\ncli.run()")
+    done = _python("-c", code, check=False)
+    assert done.returncode == 1 and done.stderr.startswith(b"Traceback (most recent call last)")
+    assert done.stderr.endswith(b"RuntimeError: not a refusal\n")
 
 
 def test_bare_import_loads_no_submodule():
