@@ -155,6 +155,8 @@ def _check_out(out: str | None) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
+        if sys.stdout is None:  # its fd was closed at start, as with `>&-`
+            raise ValueError("cannot write stdout: file descriptor 1 is closed")
         try:
             sys.stdout.write(text)
             sys.stdout.flush()

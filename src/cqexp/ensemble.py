@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .channels import CQChannel, _count, _numbers
-from .exponents import _check_gamma, _json_real, e0, ex_function
+from .exponents import _check_gamma, _json_real, _random_coding_lanes, e0, ex_function
 from .qlinalg import DensityOperator, DIM_CAP, _eigh, _Record, _reject_drift, hermitian_eig, kron
 
 ENUM_CAP = 2 ** 20
@@ -39,7 +39,6 @@ _TABLE_BYTES = 2 ** 22  # distinct-word product states of one table (one codeboo
 SUPPORT_TOL = 1e-10  # eigenvalues of the state sum below this are not inverted
 EXACT_SLACK = 1e-12
 MC_SIGMAS = 3.0
-RC_BOUND_GRID_POINTS = 65
 
 
 class Codebook(_Record):
@@ -487,16 +486,12 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
 
 
 def _rc_mean_bound(channel: CQChannel, m: int, n: int) -> float:
-    """Ensemble-average error bound min_s 2 (M-1)^s T(s)^n on a 65-point s grid.
-
-    T(s) is the single-letter trace 2**-E0(s); every grid point is a valid
-    bound, so the grid minimum is one too.
-    """
-    s_grid = np.linspace(0.0, 1.0, RC_BOUND_GRID_POINTS)
-    # one batched E0; the powers stay scalar, as numpy's array pow rounds differently
-    vals = [2.0 * (m - 1) ** s * (2.0 ** (-e)) ** n
-            for s, e in zip(s_grid, e0(channel, s_grid).tolist())]
-    return float(min(vals))
+    """Ensemble-average error bound 2 (M-1)^s T(s)^n = 2 * 2**(-n E_r(log2(M-1)/n)), with T(s)
+    the single-letter trace 2**-E0(s) and s the maximizer that random_coding_exponent and sweep
+    report at that rate (every s in [0, 1] gives a valid bound); the powers are scalar, as
+    numpy's array pow rounds differently."""
+    s = float(_random_coding_lanes(channel, math.log2(m - 1) / n)[1][0])
+    return float(2.0 * (m - 1) ** s * (2.0 ** (-e0(channel, s))) ** n)
 
 
 def _tilted_bound(channel: CQChannel, m: int, n: int, r: float) -> float:
@@ -517,7 +512,8 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
                  exhaustive: bool = False, r_list=(1.0, 2.0, 4.0),
                  seed: int = 0, gamma: float | None = None) -> EnsembleReport:
     """Estimate E[P_e] and the tilted means E[P_e^(1/r)] under square-root
-    measurement decoding and check them against the ensemble bounds.
+    measurement decoding and check them against the ensemble bounds: E[P_e] against
+    2 * 2**(-n E_r(log2(M-1)/n)), E[P_e^(1/r)] against the pairwise-overlap bound.
 
     Exhaustive mode enumerates every codebook and weights by its product
     probability; expectations are exact and verdicts use slack 1e-12.

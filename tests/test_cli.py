@@ -838,14 +838,27 @@ def test_process_runs_the_exit_handlers_on_every_exit_code(tmp_path, status):
     assert _at_exit(call, "['handler', 'ran']") == (status, [b"handler", b"ran"])
 
 
-def test_process_with_stdout_closed_at_start_writes_its_out_file(tmp_path):
-    # sys.stdout is None when fd 1 is closed before the interpreter starts
-    out = tmp_path / "validate.txt"
-    argv = ["validate", "--config", str(ROOT / "configs" / "pauli_mu095.json"), "--out", str(out)]
-    done = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "cqexp.cli",
+def _closed_stdout(argv: list[str]) -> subprocess.CompletedProcess:
+    """`python -m cqexp.cli argv` with fd 1 closed before the interpreter starts, so that
+    sys.stdout is None; stderr as bytes."""
+    return subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "cqexp.cli",
                            *argv], env=_env(), cwd=ROOT, capture_output=True)
+
+
+def test_process_with_stdout_closed_at_start_writes_its_out_file(tmp_path):
+    out = tmp_path / "validate.txt"
+    done = _closed_stdout(["validate", "--config", str(ROOT / "configs" / "pauli_mu095.json"),
+                           "--out", str(out)])
     assert done.returncode == 0 and done.stderr == b""
     assert out.read_text().startswith("OK: 2 states of dimension 2\n")
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[argv[0] for argv in SUBCOMMANDS])
+def test_process_with_stdout_closed_at_start_and_no_out_is_one_error_line(tmp_path, argv):
+    # nowhere to write the output: the one-line refusal of a closed pipe, not a traceback
+    done = _closed_stdout(argv[:1] + ["--config", write_config(tmp_path, PAULI_DOC)] + argv[1:])
+    assert done.returncode == 1
+    assert done.stderr == b"error: cannot write stdout: file descriptor 1 is closed\n"
 
 
 def test_process_exception_from_main_is_a_traceback_and_exit_1():

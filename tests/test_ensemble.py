@@ -30,13 +30,13 @@ from cqexp import (
     optimal_tilt_estimate,
     pgm_povm,
     product_state,
+    random_coding_exponent,
     run_ensemble,
     sample_codebook,
     verify_markov_bound,
 )
 from cqexp.ensemble import (
     DECODE_CHUNK_BYTES,
-    RC_BOUND_GRID_POINTS,
     _TABLE_BYTES,
     _codeword_chunks,
     _decode_ensemble,
@@ -889,13 +889,22 @@ def test_message_distances_are_priced(monkeypatch, exhaustive):
         _decode_ensemble(PAULI_095, 512, 1, exhaustive=exhaustive, trials=2)
 
 
-@pytest.mark.parametrize("m, n", [(2, 2), (4, 6), (16, 3)])
-def test_mean_bound_is_the_scalar_grid_minimum(m, n):
-    # one batched E0 call, but the same numbers as one scalar call per grid point
-    for ch in (pauli_channel(0.95), random_channel(np.random.default_rng(2), 3, 3)):
-        s_grid = np.linspace(0.0, 1.0, RC_BOUND_GRID_POINTS)
-        want = min(2.0 * (m - 1) ** s * (2.0 ** (-e0(ch, float(s)))) ** n for s in s_grid)
-        assert _rc_mean_bound(ch, m, n) == want
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("m", [2, 3, 4, 16])
+def test_mean_bound_is_taken_at_the_random_coding_maximizer(m, n):
+    # 2 (M-1)^s 2^(-n E0(s)) = 2 * 2^(-n E_r(log2(M-1)/n)) at E_r's own maximizer, in scalar
+    # powers; no looser than the minimum over a 65-point s grid, and equal to it where the
+    # maximizer is an endpoint, which that grid holds
+    for ch in (pauli_channel(0.95), from_classical_dmc([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5]),
+               random_channel(np.random.default_rng(2), 3, 3)):
+        s = random_coding_exponent(ch, math.log2(m - 1) / n).maximizer
+        bound = _rc_mean_bound(ch, m, n)
+        assert bound == 2.0 * (m - 1) ** s * (2.0 ** (-e0(ch, s))) ** n
+        grid = min(2.0 * (m - 1) ** t * (2.0 ** (-e0(ch, t))) ** n
+                   for t in np.linspace(0.0, 1.0, 65).tolist())
+        assert bound <= grid
+        if s in (0.0, 1.0):
+            assert bound == grid
 
 
 def test_run_ensemble_identical_states_exact():
