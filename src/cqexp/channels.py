@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qlinalg import DensityOperator, _Record, overlap, von_neumann_entropy
+from .qlinalg import DensityOperator, _eigh, _Record, overlap, von_neumann_entropy
 
 DIST_TOL = 1e-12
 ROW_TOL = 1e-12
@@ -226,16 +226,15 @@ def optimize_input(channel: CQChannel) -> tuple[InputDistribution, float]:
     stack = np.array([s.matrix for s in channel.states])
     p = np.full(channel.alphabet_size, 1.0 / channel.alphabet_size)
     for _ in range(100_000):
-        at_p = CQChannel(channel.states, InputDistribution(p))
-        spec = average_state(at_p).spectrum
-        w = spec.eigenvalues
+        w, v = _eigh(np.tensordot(p, stack, 1))  # rho_Q
         logs = np.log2(w, out=np.zeros_like(w), where=w > 0.0)  # log2 rho_Q on its support
-        log_rho = (spec.eigenvectors * logs) @ spec.eigenvectors.conj().T
+        log_rho = (v * logs) @ v.conj().T
         d = -entropies - np.einsum("xjk,kj->x", stack, log_rho).real  # D(sigma_x||rho_Q)
         if d.max() - p @ d < ASCENT_TOL:
             break
         p = p * np.exp2(d - d.max())
         p = p / p.sum()
+    at_p = CQChannel(channel.states, InputDistribution(p))
     return at_p.q, holevo_information(at_p)
 
 

@@ -145,8 +145,11 @@ def _rates(run: dict) -> np.ndarray:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse an unwritable --out before any work, without creating the file."""
+    """Refuse an unwritable --out, or with none a closed stdout, before any work, without
+    creating the file."""
     if out is None:
+        if sys.stdout is None:  # its fd was closed at start, as with `>&-`
+            raise ValueError("cannot write stdout: file descriptor 1 is closed")
         return
     target = out if os.path.exists(out) else os.path.dirname(os.path.abspath(out))
     if os.path.isdir(out) or not os.access(target, os.W_OK):
@@ -155,8 +158,6 @@ def _check_out(out: str | None) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        if sys.stdout is None:  # its fd was closed at start, as with `>&-`
-            raise ValueError("cannot write stdout: file descriptor 1 is closed")
         try:
             sys.stdout.write(text)
             sys.stdout.flush()

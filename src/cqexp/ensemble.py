@@ -16,7 +16,7 @@ antisymmetric two-site vectors apart: p pairs split a member into 2**p block pro
 
 Caps: _check_book refuses a run past one before anything is drawn or enumerated (dimension
 d**n <= 4096, enumeration |X|**(M n) <= 2**20, 2**30 bytes of a codebook or of a run's draws);
-256 KiB per chunk, and 4 MiB per table of block problems.
+256 KiB per chunk, and 4 MiB per table of one kind's block problems.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .qlinalg import DensityOperator, DIM_CAP, _eigh, _Record, _reject_drift, he
 ENUM_CAP = 2 ** 20
 BOOK_BYTES_CAP = 2 ** 30  # one codebook's codewords, states or distances; a run's draws
 DECODE_CHUNK_BYTES = 2 ** 18  # product states, or codewords, held at once (one codebook at least)
-_TABLE_BYTES = 2 ** 22  # distinct-word product states of one table (one codebook's at least)
+_TABLE_BYTES = 2 ** 22  # product states of one table (one codebook's at least)
 SUPPORT_TOL = 1e-10  # eigenvalues of the state sum below this are not inverted
 EXACT_SLACK = 1e-12
 MC_SIGMAS = 3.0
@@ -137,8 +137,8 @@ def _check_book(channel: CQChannel, m: int, n: int, *, enumerated: bool = False,
     BOOK_BYTES_CAP the bytes of one codebook's codeword array, its product states (real when
     every letter is) and the orbit map's (M, M) int64 message distances and their sorted copy,
     and with ``trials`` a Monte-Carlo run's draws.  A draw holds a distinct member, then its
-    block problem, as a key and stacked (16 M n), its table ids (8 M), and 250 bytes: a key's
-    header and dict entry, a seed, orbit ids, weights, P_e."""
+    block problem, as a key and stacked (16 M n), the block problem's M hits (8 M), and 250
+    bytes: a key's header and dict entry, a seed, orbit ids, weights, P_e."""
     _count(m, 2, "need at least two codewords")
     _check_dims(channel, n)
     m, n, k = int(m), int(n), channel.alphabet_size
@@ -416,7 +416,7 @@ def _orbit_members(words: np.ndarray, group: np.ndarray) -> np.ndarray:
 
 
 def _member_ids(members: np.ndarray, reps: dict) -> np.ndarray:
-    """Index of each row (an (M, n) book or block problem, or a word) in ``reps``, new ones last."""
+    """Index of each row (an (M, n) book or block problem) in ``reps``, new ones last."""
     keys = members.reshape(len(members), -1).view(f"V{members[0].size * 8}").ravel().tolist()
     return np.array([reps.setdefault(key, len(reps)) for key in keys])
 
@@ -426,9 +426,11 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     """Decode each enumerated (or drawn) codebook; return codebook probabilities and average
     errors.  Each distinct column histogram (a codebook's columns sorted) is mapped once by
     _orbit_members, each distinct member split once by _block_problems, and each distinct block
-    problem decoded once, batched by dimension (no varying column: P_e = 1 - 1/M exactly), from
-    one table of the validated letters' (real when all are) products per block of
-    _TABLE_BYTES // (M word bytes) problems (one at least), in DECODE_CHUNK_BYTES chunks."""
+    problem decoded once, batched by kind: each column's factor, none, a letter, or a pair's
+    symmetric or antisymmetric block (no factor at all: P_e = 1 - 1/M exactly).  A kind's
+    problems go in tables of _TABLE_BYTES // (M state bytes) problems (one at least), each the
+    M product states of its problems from one Kronecker chain of the validated letters' (real
+    when all are) factors, decoded in DECODE_CHUNK_BYTES chunks."""
     _check_book(channel, m, n, enumerated=exhaustive, trials=None if exhaustive else trials)
     letters = np.array([s.matrix for s in channel.states])  # (k, d, d)
     if not letters.imag.any():
@@ -457,28 +459,23 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     del members  # not held beside the block problems' keys and their stack
     problems, reps = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n), {}
     kinds, blocks = problems[:, 0] // k + 1, _pair_blocks(letters)  # a column's kind, 0 to 3
-    dims = np.where(kinds.any(axis=1), np.array([len(b[0]) for b in blocks])[kinds].prod(axis=1), 0)
-    hits = np.zeros((len(problems), m))  # 0 dims: no factor, or an empty antisymmetric block
-    for dim in set(dims.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma
-        todo, word_bytes = np.flatnonzero(dims == dim), dim ** 2 * letters.itemsize
-        step = max(1, DECODE_CHUNK_BYTES // (m * word_bytes))
-        block = max(1, _TABLE_BYTES // (m * word_bytes))  # block problems per table
+    hits = np.zeros((len(problems), m))  # no factor, or an empty antisymmetric block: no hits
+    for kind in {tuple(row) for row in kinds[kinds.any(axis=1)].tolist()}:
+        dim = math.prod(blocks[c].shape[1] for c in kind)
+        if dim == 0:
+            continue
+        todo = np.flatnonzero((kinds == kind).all(axis=1))
+        step = max(1, DECODE_CHUNK_BYTES // (m * dim ** 2 * letters.itemsize))
+        block = max(1, _TABLE_BYTES // (m * dim ** 2 * letters.itemsize))  # problems per table
         for rows in np.split(todo, range(block, len(todo), block)):
-            table = {}  # word bytes -> row of the table
-            word_ids = np.concatenate([_member_ids(problems[p].reshape(-1, n), table).reshape(-1, m)
-                                        for p in np.split(rows, range(chunk, len(rows), chunk))])
-            words = np.frombuffer(b"".join(table), dtype=np.int64).reshape(len(table), n)
-            states = np.empty((len(words), dim, dim), letters.dtype)
-            for kind in {tuple(row) for row in (words // k + 1).tolist()}:
-                sel = (words // k + 1 == kind).all(axis=1)
-                part = np.ones((np.count_nonzero(sel), 1, 1))
-                for col in np.flatnonzero(kind):  # Kronecker chain, left to right
-                    right = blocks[kind[col]][words[sel, col] % k][:, None, :, None, :]
-                    outer = part[:, :, None, :, None] * right
-                    part = outer.reshape(len(outer), outer.shape[1] * outer.shape[2], -1)
-                states[sel] = part
+            states = np.ones((len(rows) * m, 1, 1))
+            for col in np.flatnonzero(kind):  # Kronecker chain, left to right
+                right = blocks[kind[col]][problems[rows, :, col].ravel() % k][:, None, :, None, :]
+                outer = states[:, :, None, :, None] * right
+                states = outer.reshape(len(outer), outer.shape[1] * outer.shape[2], -1)
+            states = states.reshape(len(rows), m, dim, dim)
             for lo in range(0, len(rows), step):
-                hits[rows[lo:lo + step]] = _pgm_hits(states[word_ids[lo:lo + step]])
+                hits[rows[lo:lo + step]] = _pgm_hits(states[lo:lo + step])
     errors = np.ones((len(constant), m))  # a member's hits add over its block problems
     np.subtract.at(errors, np.concatenate(owners), hits[np.concatenate(ids)])
     pes = np.where(constant, 1.0 - 1.0 / m, errors.clip(0.0, 1.0, out=errors).mean(axis=1))

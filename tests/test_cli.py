@@ -330,6 +330,18 @@ def test_simulate_refuses_message_distances_over_the_cap(tmp_path, capsys, monke
     assert err.startswith("error: the 512 x 512 message distances") and err.count("\n") == 1
 
 
+def test_simulate_refuses_a_closed_stdout_before_drawing(tmp_path, capsys, monkeypatch):
+    # fd 1 closed at start leaves sys.stdout None: with no --out, nothing is drawn or decoded
+    monkeypatch.setattr("cqexp.ensemble._codeword_chunks",
+                        lambda *_: pytest.fail("codebooks were drawn before the refusal"))
+    cfg = write_config(tmp_path, PAULI_DOC)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", None)
+        code = cli.main(["simulate", "--config", cfg, "--m", "2", "--n", "8", "--exhaustive"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: cannot write stdout: file descriptor 1 is closed\n"
+
+
 @pytest.mark.parametrize("key, value", [
     ("m", "three"), ("n", [2]), ("trials", "many"), ("seed", math.inf),
     ("gamma", "big"), ("r_list", ["1", "two"]), ("r_list", 4),

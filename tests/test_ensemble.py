@@ -711,7 +711,11 @@ def test_fast_decode_matches_the_oracle(monkeypatch, ch, m, n, trials, seed, spl
     np.testing.assert_allclose(pes, expected, rtol=0, atol=1e-12)
 
 
-CHUNK_CHANNELS = (pauli_channel(0.95), random_channel(np.random.default_rng(1), 3, 2))
+ONE_DIMENSIONAL = CQChannel((DensityOperator(np.ones((1, 1))),) * 2, None)
+# a qutrit's letters and antisymmetric pair blocks share dimension 3; one-dimensional letters
+# have an empty antisymmetric pair block
+CHUNK_CHANNELS = (pauli_channel(0.95), random_channel(np.random.default_rng(1), 3, 2),
+                  random_channel(np.random.default_rng(2), 3, 3), ONE_DIMENSIONAL)
 
 
 # explicit ids keep the Monte-Carlo cases' names (ch0, ch1) stable
@@ -722,7 +726,7 @@ CHUNK_CHANNELS = (pauli_channel(0.95), random_channel(np.random.default_rng(1), 
 def test_decoding_is_chunking_invariant(monkeypatch, ch, exhaustive, chunk_bytes):
     # 37 draws of 16x16 products, and the 729 M=2 n=3 codebooks of the 3-letter
     # channel, leave a partial last chunk at the default size; a 1-byte state
-    # table holds one codebook's words, so each representative has a table of its own
+    # table holds one block problem's states, so each has a table of its own
     m, n = (2, 3) if exhaustive else (4, 4)
     default = _decode_ensemble(ch, m, n, exhaustive=exhaustive, trials=37, seed=8)
     for budget in ("DECODE_CHUNK_BYTES", "_TABLE_BYTES"):
@@ -731,6 +735,17 @@ def test_decoding_is_chunking_invariant(monkeypatch, ch, exhaustive, chunk_bytes
             weights, pes = _decode_ensemble(ch, m, n, exhaustive=exhaustive, trials=37, seed=8)
         assert np.array_equal(weights, default[0])
         assert np.array_equal(pes, default[1])
+
+
+def test_one_dimensional_letters_decode_as_the_oracle():
+    # every pair's antisymmetric block problem is empty: its symmetric one holds all the hits
+    weights, pes = _decode_ensemble(ONE_DIMENSIONAL, 3, 3)
+    books = list(enumerate_codebooks(ONE_DIMENSIONAL, 3, 3))
+    expected = [error_probability(ONE_DIMENSIONAL, book, pgm_povm(
+        [product_state(ONE_DIMENSIONAL, w) for w in book.codewords])).average_error
+        for book, _ in books]
+    np.testing.assert_allclose(pes, expected, rtol=0, atol=1e-12)
+    assert np.array_equal(weights, [prob for _, prob in books])
 
 
 def test_all_constant_codebooks_are_exact():
