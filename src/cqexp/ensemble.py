@@ -16,7 +16,7 @@ antisymmetric two-site vectors apart: p pairs split a member into 2**p block pro
 
 Caps: _check_book refuses a run past one before anything is drawn or enumerated (dimension
 d**n <= 4096, enumeration |X|**(M n) <= 2**20, 2**30 bytes of a codebook or of a run's draws);
-256 KiB per chunk, and 4 MiB per table of one kind's block problems.
+256 KiB per chunk of codewords or keys, and of one kind's block problems' product states.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from .qlinalg import DensityOperator, DIM_CAP, _eigh, _Record, _reject_drift, he
 
 ENUM_CAP = 2 ** 20
 BOOK_BYTES_CAP = 2 ** 30  # one codebook's codewords, states or distances; a run's draws
-DECODE_CHUNK_BYTES = 2 ** 18  # product states, or codewords, held at once (one codebook at least)
-_TABLE_BYTES = 2 ** 22  # product states of one table (one codebook's at least)
+DECODE_CHUNK_BYTES = 2 ** 18  # states or codewords held at once (one problem or codebook at least)
 SUPPORT_TOL = 1e-10  # eigenvalues of the state sum below this are not inverted
 EXACT_SLACK = 1e-12
 MC_SIGMAS = 3.0
@@ -266,8 +265,10 @@ def enumerate_codebooks(channel: CQChannel, m: int, n: int
 
 
 def product_state(channel: CQChannel, codeword) -> DensityOperator:
-    """Tensor product of the per-symbol states along one codeword."""
-    word = _symbols(codeword).ravel()
+    """Tensor product of the per-symbol states along one codeword, a 1-D row of symbols."""
+    if np.ndim(codeword) != 1:
+        raise ValueError(f"a codeword must be one row of symbols, got shape {np.shape(codeword)}")
+    word = _symbols(codeword)
     if word.size == 0:
         raise ValueError("codeword is empty")
     if word.min() < 0 or word.max() >= channel.alphabet_size:
@@ -428,9 +429,9 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     _orbit_members, each distinct member split once by _block_problems, and each distinct block
     problem decoded once, batched by kind: each column's factor, none, a letter, or a pair's
     symmetric or antisymmetric block (no factor at all: P_e = 1 - 1/M exactly).  A kind's
-    problems go in tables of _TABLE_BYTES // (M state bytes) problems (one at least), each the
-    M product states of its problems from one Kronecker chain of the validated letters' (real
-    when all are) factors, decoded in DECODE_CHUNK_BYTES chunks."""
+    problems go in chunks of DECODE_CHUNK_BYTES // (M state bytes) problems (one at least),
+    each built by one Kronecker chain of the validated letters' (real when all are) factors and
+    decoded by one _pgm_hits call; no other states are held."""
     _check_book(channel, m, n, enumerated=exhaustive, trials=None if exhaustive else trials)
     letters = np.array([s.matrix for s in channel.states])  # (k, d, d)
     if not letters.imag.any():
@@ -465,17 +466,14 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
         if dim == 0:
             continue
         todo = np.flatnonzero((kinds == kind).all(axis=1))
-        step = max(1, DECODE_CHUNK_BYTES // (m * dim ** 2 * letters.itemsize))
-        block = max(1, _TABLE_BYTES // (m * dim ** 2 * letters.itemsize))  # problems per table
-        for rows in np.split(todo, range(block, len(todo), block)):
+        step = max(1, DECODE_CHUNK_BYTES // (m * dim ** 2 * letters.itemsize))  # problems per chunk
+        for rows in np.split(todo, range(step, len(todo), step)):
             states = np.ones((len(rows) * m, 1, 1))
             for col in np.flatnonzero(kind):  # Kronecker chain, left to right
                 right = blocks[kind[col]][problems[rows, :, col].ravel() % k][:, None, :, None, :]
                 outer = states[:, :, None, :, None] * right
                 states = outer.reshape(len(outer), outer.shape[1] * outer.shape[2], -1)
-            states = states.reshape(len(rows), m, dim, dim)
-            for lo in range(0, len(rows), step):
-                hits[rows[lo:lo + step]] = _pgm_hits(states[lo:lo + step])
+            hits[rows] = _pgm_hits(states.reshape(len(rows), m, dim, dim))
     errors = np.ones((len(constant), m))  # a member's hits add over its block problems
     np.subtract.at(errors, np.concatenate(owners), hits[np.concatenate(ids)])
     pes = np.where(constant, 1.0 - 1.0 / m, errors.clip(0.0, 1.0, out=errors).mean(axis=1))

@@ -37,7 +37,6 @@ from cqexp import (
 )
 from cqexp.ensemble import (
     DECODE_CHUNK_BYTES,
-    _TABLE_BYTES,
     _codeword_chunks,
     _decode_ensemble,
     _entropy,
@@ -277,6 +276,10 @@ def test_product_state_validation():
         product_state(ch, [0, 2])
     with pytest.raises(ValueError, match="cap"):
         product_state(ch, [0] * 13)
+    with pytest.raises(ValueError, match=r"one row of symbols, got shape \(2, 2\)"):
+        product_state(ch, [[0, 1], [1, 0]])  # a codebook, not one word of four symbols
+    with pytest.raises(ValueError, match=r"one row of symbols, got shape \(\)"):
+        product_state(ch, 1)  # a scalar, not the word [1]
 
 
 # --- square-root measurement -------------------------------------------------
@@ -684,8 +687,8 @@ THREE_QUBIT_LETTERS = CQChannel(tuple(random_density(np.random.default_rng(3), 2
 
 @pytest.mark.parametrize("ch, m, n, trials, seed, split_dim", [
     # 7 of these 8 draws have 7 distinct varying columns (no letter symmetry, no equal pair):
-    # 128-dimensional complex problems of 4 words (256 KiB each), so they go in 4 MiB tables
-    # of 4 codebooks, no budget patched
+    # 128-dimensional complex problems of 4 words (1 MiB each), over the 256 KiB budget, so
+    # each goes in a chunk of its own, no budget patched
     pytest.param(THREE_QUBIT_LETTERS, 4, 7, 8, 7, 128, id="blocks"),
     pytest.param(pauli_channel(1.0 - 1e-9), 4, 5, 200, 2, None, id="near-pure",
                  marks=pytest.mark.xfail(
@@ -697,13 +700,14 @@ def test_fast_decode_matches_the_oracle(monkeypatch, ch, m, n, trials, seed, spl
     seen = []
 
     def recording_pgm_hits(states):
-        seen.extend([states.shape[-1]] * len(states))
+        seen.append((len(states), states.shape[-1]))  # problems and dimension of each call
         return _pgm_hits(states)
 
     monkeypatch.setattr("cqexp.ensemble._pgm_hits", recording_pgm_hits)
     _, pes = _decode_ensemble(ch, m, n, exhaustive=False, trials=trials, seed=seed)
     if split_dim:
-        assert seen.count(split_dim) > _TABLE_BYTES // (m * split_dim ** 2 * 16) == 4
+        assert m * split_dim ** 2 * 16 > DECODE_CHUNK_BYTES
+        assert [call for call in seen if call[1] == split_dim] == [(1, split_dim)] * 7
     books = [sample_codebook(ch, m, n, int(s))
              for s in np.random.SeedSequence(seed).generate_state(trials)]
     expected = [error_probability(ch, book, pgm_povm(
@@ -725,16 +729,14 @@ CHUNK_CHANNELS = (pauli_channel(0.95), random_channel(np.random.default_rng(1), 
 @pytest.mark.parametrize("chunk_bytes", [1, 2 ** 30])
 def test_decoding_is_chunking_invariant(monkeypatch, ch, exhaustive, chunk_bytes):
     # 37 draws of 16x16 products, and the 729 M=2 n=3 codebooks of the 3-letter
-    # channel, leave a partial last chunk at the default size; a 1-byte state
-    # table holds one block problem's states, so each has a table of its own
+    # channel, leave a partial last chunk at the default size; a 1-byte chunk
+    # holds one block problem's states, so each has a chunk of its own
     m, n = (2, 3) if exhaustive else (4, 4)
     default = _decode_ensemble(ch, m, n, exhaustive=exhaustive, trials=37, seed=8)
-    for budget in ("DECODE_CHUNK_BYTES", "_TABLE_BYTES"):
-        with monkeypatch.context() as patch:
-            patch.setattr(f"cqexp.ensemble.{budget}", chunk_bytes)
-            weights, pes = _decode_ensemble(ch, m, n, exhaustive=exhaustive, trials=37, seed=8)
-        assert np.array_equal(weights, default[0])
-        assert np.array_equal(pes, default[1])
+    monkeypatch.setattr("cqexp.ensemble.DECODE_CHUNK_BYTES", chunk_bytes)
+    weights, pes = _decode_ensemble(ch, m, n, exhaustive=exhaustive, trials=37, seed=8)
+    assert np.array_equal(weights, default[0])
+    assert np.array_equal(pes, default[1])
 
 
 def test_one_dimensional_letters_decode_as_the_oracle():
@@ -1034,6 +1036,16 @@ def test_monte_carlo_memory_stays_within_its_price():
             f"run_ensemble(ch, {m}, {n}, trials=100)",
             [f"run_ensemble(ch, {m}, {n}, trials={trials})" for trials in (small, big)])
         assert high - low <= (big - small) * (8 * m * (2 * n + 1) + 250)
+
+
+def test_decoding_holds_one_chunk_of_product_states():
+    # at M=4, n=8 a kind's block problems fill many 256 KiB chunks; only one chunk's product
+    # states may be held at a time
+    peak, = tracemalloc_peaks(
+        "from cqexp import run_ensemble\nfrom helpers import pauli_channel\n"
+        "ch = pauli_channel(0.95)\nrun_ensemble(ch, 4, 8, trials=200, seed=5)",
+        ["run_ensemble(ch, 4, 8, trials=2000, seed=5)"])
+    assert peak <= 6 * 2 ** 20
 
 
 def test_large_m_transients_stay_small():
