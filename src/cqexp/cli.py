@@ -77,20 +77,6 @@ def _load_channel(args):
     return channel, {**run, **flags}
 
 
-def _boolean(value) -> bool:
-    """A JSON boolean; anything else is refused."""
-    if not isinstance(value, bool):
-        raise TypeError(f"not a boolean: {value!r}")
-    return value
-
-
-def _integer(value) -> int:
-    """int(value) for an integral number; booleans and fractions are refused."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
 def _grid_from_parts(lo: float, hi: float, count: int) -> np.ndarray:
     if not 0 <= lo < math.inf:
         raise ValueError(f"grid min must be finite and nonnegative, got {lo}")
@@ -124,7 +110,7 @@ def _tilt_orders(text: str) -> list[float]:
 
 
 def _rates(run: dict) -> np.ndarray:
-    from .channels import _numbers
+    from .channels import _count, _numbers
 
     if run.get("rates") is not None:  # the --grid rates, or the config's, win over its 'grid'
         import numpy as np
@@ -137,8 +123,9 @@ def _rates(run: dict) -> np.ndarray:
     g = run.get("grid")
     if g is not None:
         try:
-            lo, hi, count = *_numbers([g["min"], g["max"]]), _integer(g["count"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            lo, hi, count = *_numbers([g["min"], g["max"]]), g["count"]
+            _count(count, 2, "'count' must be an integer >= 2")
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"config 'grid' needs numeric min/max/count: {exc}") from exc
         return _grid_from_parts(lo, hi, count)
     raise ValueError("no rate grid: pass --grid min:max:count or put grid/rates in the config")
@@ -196,29 +183,12 @@ def cmd_thresholds(args) -> int:
     return EXIT_OK
 
 
-def _param(run: dict, key: str, convert):
-    """The run document's value for key, converted."""
-    try:
-        return convert(run[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        from .channels import _numbers
-
-        kind = {_integer: "an integer", _numbers: "a list of numbers",
-                _boolean: "true or false"}.get(convert, "numeric")
-        raise ValueError(
-            f"'{key}' (--{key.replace('_', '-')}) must be {kind}, got {run[key]!r}") from exc
-
-
 def cmd_simulate(args) -> int:
-    """run_ensemble on the given run keys (null is not given), so it holds every default."""
-    from .channels import _numbers
+    """run_ensemble on the given run keys (null is not given), unconverted: it refuses each."""
     from .ensemble import run_ensemble
 
     channel, run = _load_channel(args)
-    given = {key: _param(run, key, convert) for key, convert in (
-        ("m", _integer), ("n", _integer), ("exhaustive", _boolean), ("trials", _integer),
-        ("seed", _integer), ("r_list", _numbers), ("gamma", lambda v: _numbers(v, 0)))
-        if run.get(key) is not None}
+    given = {key: run[key] for key in RUN_KEYS[2:] if run.get(key) is not None}  # not the rates
     if {"m", "n"} - set(given):
         raise ValueError(f"simulate needs {sorted({'m', 'n'} - set(given))} in the config or flags")
     report = run_ensemble(channel, **given)

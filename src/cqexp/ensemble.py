@@ -124,7 +124,7 @@ class EnsembleReport(_Record):
 
 
 def _check_dims(channel: CQChannel, n: int) -> None:
-    _count(n, 1, "block length must be positive")
+    _count(n, 1, "'n' must be an integer >= 1")
     if channel.dim ** min(int(n), DIM_CAP.bit_length()) > DIM_CAP:  # no huge power for huge n
         raise ValueError(f"product-state dimension {channel.dim}**{n} exceeds the cap {DIM_CAP}")
 
@@ -138,7 +138,7 @@ def _check_book(channel: CQChannel, m: int, n: int, *, enumerated: bool = False,
     and with ``trials`` a Monte-Carlo run's draws.  A draw holds a distinct member, then its
     block problem, as a key and stacked (16 M n), the block problem's M hits (8 M), and 250
     bytes: a key's header and dict entry, a seed, orbit ids, weights, P_e."""
-    _count(m, 2, "need at least two codewords")
+    _count(m, 2, "'m' must be an integer >= 2")
     _check_dims(channel, n)
     m, n, k = int(m), int(n), channel.alphabet_size
     if enumerated and k ** min(m * n, ENUM_CAP.bit_length()) > ENUM_CAP:  # no huge power
@@ -519,18 +519,27 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
     the exact quantile check P[P_e >= (gamma E[P_e^(1/r)])^r] against 1/gamma.
     A bound or threshold whose r-th power overflows a float is +inf; a threshold
     that underflows is the least positive float.
+
+    Each run value is refused here, before anything is decoded, by a ValueError naming its key
+    in quotes: ``exhaustive`` a bool, ``r_list`` a list, tuple or 1-D array of finite orders
+    >= 1 distinct as printed (%g), integers ``seed`` >= 0, ``trials`` >= 2 when given, ``m``
+    >= 2 and ``n`` >= 1 (within _check_book's caps), and ``gamma`` finite and >= 1.
     """
-    r_list = tuple(_numbers(r, 0, "a tilt order") for r in r_list)
+    if not isinstance(exhaustive, bool):
+        raise ValueError(f"'exhaustive' must be True or False, got {exhaustive!r}")
+    if isinstance(r_list, (tuple, np.ndarray)) and getattr(r_list, "ndim", 1) == 1:
+        r_list = list(r_list)  # one rule for the three forms; any other value is refused whole
+    r_list = tuple(_numbers(r_list, 1, "'r_list'"))
     if not all(1.0 <= r < math.inf for r in r_list):
-        raise ValueError(f"tilt orders must be finite and >= 1, got {r_list}")
+        raise ValueError(f"tilt orders 'r_list' must be finite and >= 1, got {r_list}")
     if len({f"{r:g}" for r in r_list}) < len(r_list):  # the report keys orders by %g
-        raise ValueError(f"tilt orders must be distinct as printed (%g), got {r_list}")
+        raise ValueError(f"tilt orders 'r_list' must be distinct as printed (%g), got {r_list}")
     _entropy(seed)  # refuses a seed that is not a non-negative integer
-    if not exhaustive:
-        _count(trials, 2, "Monte-Carlo mode needs trials >= 2 (or pass exhaustive=True)")
+    if trials is not None or not exhaustive:
+        _count(trials, 2, "'trials' must be an integer >= 2 (or None with exhaustive=True)")
     if gamma is not None:
         if not exhaustive:
-            raise ValueError("the quantile check (gamma) needs exhaustive enumeration: it is exact")
+            raise ValueError("the quantile check 'gamma' needs exhaustive enumeration: it is exact")
         gamma = _check_gamma(gamma)
     weights, pes = _decode_ensemble(channel, m, n, exhaustive=exhaustive,
                                     trials=trials, seed=seed)

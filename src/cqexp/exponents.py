@@ -304,9 +304,9 @@ def overlap_exponent_half_var(channel: CQChannel) -> float:
 
 
 def _check_gamma(gamma: float) -> float:
-    value = _numbers(gamma, 0, "gamma")  # a bool or a string is refused, not read as a number
+    value = _numbers(gamma, 0, "'gamma'")  # a bool or a string is refused, not read as a number
     if not 1.0 <= value < math.inf:
-        raise ValueError(f"gamma must be at least 1 and finite, got {gamma}")
+        raise ValueError(f"'gamma' must be at least 1 and finite, got {gamma}")
     return value
 
 

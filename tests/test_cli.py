@@ -350,6 +350,7 @@ def test_simulate_refuses_a_closed_stdout_before_drawing(tmp_path, capsys, monke
     ("gamma", "16"), ("gamma", True), ("r_list", "124"), ("r_list", [True]),
     ("r_list", ""), ("r_list", {}), ("seed", -3),
     ("m", math.nan), ("m", True), ("n", math.nan), ("trials", math.nan), ("trials", True),
+    ("m", 4.0), ("seed", 2.0),
 ])
 def test_simulate_non_numeric_config_value(tmp_path, capsys, key, value):
     # gamma is only accepted with exhaustive enumeration: refuse it for its type alone
@@ -359,6 +360,11 @@ def test_simulate_non_numeric_config_value(tmp_path, capsys, key, value):
     assert cli.main(["simulate", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"'{key}'" in err
+    # one rule: the CLI passes the document's values on and prints the library's refusal
+    run = json.loads(pathlib.Path(cfg).read_text())
+    with pytest.raises(ValueError) as exc:
+        run_ensemble(channel_from_config(run.pop("channel")), **run)
+    assert err == f"error: {exc.value}\n"
 
 
 def test_simulate_json_number_gamma_and_r_list(tmp_path):
@@ -441,7 +447,7 @@ def test_simulate_refuses_one_draw(tmp_path, capsys, monkeypatch):
     assert cli.main(["simulate", "--config", cfg, "--m", "2", "--n", "6", "--trials", "1"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    assert "trials >= 2" in err
+    assert "'trials' must be an integer >= 2" in err
 
 
 def test_simulate_bad_r_list(tmp_path, capsys):

@@ -120,12 +120,12 @@ def test_sample_codebook_deterministic():
 
 def test_sample_codebook_validation():
     ch = pauli_channel(0.9)
-    with pytest.raises(ValueError, match="two codewords"):
+    with pytest.raises(ValueError, match="'m' must be an integer >= 2"):
         sample_codebook(ch, 1, 4, seed=0)
     with pytest.raises(ValueError, match="cap"):
         sample_codebook(ch, 2, 13, seed=0)  # 2**13 > 4096
     sample_codebook(ch, 2, 12, seed=0)  # 2**12 == 4096 is allowed
-    with pytest.raises(ValueError, match="block length must be positive"):
+    with pytest.raises(ValueError, match="'n' must be an integer >= 1"):
         sample_codebook(ch, 2, 0, seed=0)
 
 
@@ -162,9 +162,9 @@ def test_enumerate_codebooks_probabilities_sum_to_one():
 
 def test_exhaustive_mode_needs_two_codewords():
     ch = pauli_channel(0.9)
-    with pytest.raises(ValueError, match="need at least two codewords"):
+    with pytest.raises(ValueError, match="'m' must be an integer >= 2"):
         next(enumerate_codebooks(ch, 1, 2))
-    with pytest.raises(ValueError, match="need at least two codewords"):
+    with pytest.raises(ValueError, match="'m' must be an integer >= 2"):
         run_ensemble(ch, 1, 2, exhaustive=True)
 
 
@@ -188,15 +188,15 @@ def test_a_count_that_is_not_an_integer_is_refused(monkeypatch, bad):
                         lambda states: pytest.fail("a codebook was decoded before the refusal"))
     ch = pauli_channel(0.9)
     calls = [
-        ("need at least two codewords", lambda: run_ensemble(ch, bad, 3, trials=10)),
-        ("need at least two codewords", lambda: run_ensemble(ch, bad, 2, exhaustive=True)),
-        ("need at least two codewords", lambda: sample_codebook(ch, bad, 3, 0)),
-        ("need at least two codewords", lambda: next(enumerate_codebooks(ch, bad, 2))),
-        ("block length must be positive", lambda: run_ensemble(ch, 2, bad, trials=10)),
-        ("block length must be positive", lambda: run_ensemble(ch, 2, bad, exhaustive=True)),
-        ("block length must be positive", lambda: sample_codebook(ch, 2, bad, 0)),
-        ("block length must be positive", lambda: next(enumerate_codebooks(ch, 2, bad))),
-        ("trials >= 2", lambda: run_ensemble(ch, 2, 3, trials=bad)),
+        ("'m' must be an integer >= 2", lambda: run_ensemble(ch, bad, 3, trials=10)),
+        ("'m' must be an integer >= 2", lambda: run_ensemble(ch, bad, 2, exhaustive=True)),
+        ("'m' must be an integer >= 2", lambda: sample_codebook(ch, bad, 3, 0)),
+        ("'m' must be an integer >= 2", lambda: next(enumerate_codebooks(ch, bad, 2))),
+        ("'n' must be an integer >= 1", lambda: run_ensemble(ch, 2, bad, trials=10)),
+        ("'n' must be an integer >= 1", lambda: run_ensemble(ch, 2, bad, exhaustive=True)),
+        ("'n' must be an integer >= 1", lambda: sample_codebook(ch, 2, bad, 0)),
+        ("'n' must be an integer >= 1", lambda: next(enumerate_codebooks(ch, 2, bad))),
+        ("'trials' must be an integer >= 2", lambda: run_ensemble(ch, 2, 3, trials=bad)),
         ("message count must be a positive integer",
          lambda: optimal_tilt_estimate(ch, bad, 8, 2.0)),
         ("block length must be a positive integer",
@@ -961,7 +961,7 @@ def test_run_ensemble_validation(monkeypatch):
     monkeypatch.setattr("cqexp.ensemble._pgm_hits",
                         lambda states: pytest.fail("a codebook was decoded before the refusal"))
     ch = pauli_channel(0.9)
-    with pytest.raises(ValueError, match="trials"):
+    with pytest.raises(ValueError, match="'trials'"):
         run_ensemble(ch, 2, 2)
     with pytest.raises(ValueError, match=">= 1"):
         run_ensemble(ch, 2, 2, trials=100, r_list=(0.5,))
@@ -973,16 +973,24 @@ def test_run_ensemble_validation(monkeypatch):
         run_ensemble(ch, 2, 2, exhaustive=True, gamma=0.5)
     # a bool or a string is refused, not read as 1 or as the number it spells
     for gamma in (True, "4"):
-        with pytest.raises(ValueError, match=f"^gamma must be a number, got {gamma!r}$"):
+        with pytest.raises(ValueError, match=f"^'gamma' must be a number, got {gamma!r}$"):
             run_ensemble(ch, 2, 2, exhaustive=True, gamma=gamma)
     for r_list, bad in (((True, "2"), "True"), ((1.0, "2"), "'2'"), ((None,), "None")):
-        with pytest.raises(ValueError, match=f"^a tilt order must be a number, got {bad}$"):
+        with pytest.raises(ValueError, match=f"^'r_list' must be a list of numbers, got .*{bad}"):
             run_ensemble(ch, 2, 2, exhaustive=True, r_list=r_list)
     # the report keys tilted means and names checks by f"{r:g}": such orders would merge
     with pytest.raises(ValueError, match="distinct"):
         run_ensemble(ch, 2, 2, trials=100, r_list=(1.0000001, 1.0000002))
     with pytest.raises(ValueError, match="distinct"):
         run_ensemble(ch, 2, 2, exhaustive=True, r_list=(1.0, 4.0, 4))
+    # each run value is refused as a whole under its key, with nothing decoded
+    for key, kwargs in (("exhaustive", {"exhaustive": "false"}), ("exhaustive", {"exhaustive": 1}),
+                        ("r_list", {"trials": 100, "r_list": 4}),
+                        ("r_list", {"trials": 100, "r_list": "124"}),
+                        ("r_list", {"trials": 100, "r_list": {}}),
+                        ("trials", {"exhaustive": True, "trials": "many"})):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            run_ensemble(ch, 2, 2, **kwargs)
 
 
 def test_numpy_numbers_are_accepted_as_gamma_and_tilt_orders():
@@ -1020,7 +1028,7 @@ def test_monte_carlo_refuses_one_draw(monkeypatch):
         patch.setattr("cqexp.ensemble._pgm_hits",
                       lambda states: pytest.fail("a codebook was decoded before the refusal"))
         for trials in (None, 0, 1):
-            with pytest.raises(ValueError, match=f"trials >= 2 .*got {trials}"):
+            with pytest.raises(ValueError, match=f"'trials' must be an integer >= 2.*got {trials}"):
                 run_ensemble(ch, 2, 6, trials=trials, seed=13)
     assert run_ensemble(ch, 2, 6, trials=2, seed=13).trials == 2
 

@@ -284,11 +284,11 @@ def test_sweep_structure_and_validation():
     (lambda ch: optimal_tilt_estimate(ch, 4, 8, math.nan), "at least 1"),
     (lambda ch: verify_markov_bound(ch, 2, 2, math.inf, 2.0), "finite and >= 1"),
     # a bool or a string is refused, not read as the number it converts to
-    (lambda ch: optimal_tilt_estimate(ch, 4, 6, True), "^gamma must be a number, got True$"),
-    (lambda ch: optimal_tilt_estimate(ch, 4, 6, "4"), "^gamma must be a number, got '4'$"),
-    (lambda ch: verify_markov_bound(ch, 2, 2, 1.0, True), "^gamma must be a number, got True$"),
+    (lambda ch: optimal_tilt_estimate(ch, 4, 6, True), "^'gamma' must be a number, got True$"),
+    (lambda ch: optimal_tilt_estimate(ch, 4, 6, "4"), "^'gamma' must be a number, got '4'$"),
+    (lambda ch: verify_markov_bound(ch, 2, 2, 1.0, True), "^'gamma' must be a number, got True$"),
     (lambda ch: verify_markov_bound(ch, 2, 2, "2", 2.0),
-     "^a tilt order must be a number, got '2'$"),
+     r"^'r_list' must be a list of numbers, got \['2'\]$"),
 ], ids=["e0-inf", "e0-nan", "ex-inf", "ex-nan", "er-nan", "er-inf", "eex-nan", "trc-nan",
         "tilt-gamma-nan", "markov-r-inf", "tilt-gamma-bool", "tilt-gamma-str",
         "markov-gamma-bool", "markov-r-str"])
