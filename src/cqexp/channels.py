@@ -265,7 +265,7 @@ def _numbers(value, ndim: int = 1, name: str = "value"):
     """A number (ndim 0: an int or float, numpy's included), list of numbers (1) or list of
     such lists (2), as floats nested alike; booleans, strings, null, objects and any other
     nesting are refused under the given name.  The one rule for numbers in channel configs,
-    run documents, gamma and the tilt orders."""
+    run documents, gamma, the tilt orders and the rates."""
     try:
         return _floats(value, ndim)
     except (TypeError, OverflowError):

@@ -109,17 +109,11 @@ def _tilt_orders(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}") from exc
 
 
-def _rates(run: dict) -> np.ndarray:
+def _rates(run: dict):
+    if run.get("rates") is not None:  # the --grid rates, or the config's, win over its 'grid'
+        return run["rates"]  # unconverted: sweep refuses them, naming 'rates'
     from .channels import _count, _numbers
 
-    if run.get("rates") is not None:  # the --grid rates, or the config's, win over its 'grid'
-        import numpy as np
-
-        from .exponents import _check_rate_count  # only `exponents` reads a rate grid
-
-        rates = _numbers(run["rates"], 1, "config 'rates'")
-        _check_rate_count(len(rates))
-        return np.asarray(rates)
     g = run.get("grid")
     if g is not None:
         try:

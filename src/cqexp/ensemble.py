@@ -485,7 +485,7 @@ def _rc_mean_bound(channel: CQChannel, m: int, n: int) -> float:
     the single-letter trace 2**-E0(s) and s the maximizer that random_coding_exponent and sweep
     report at that rate (every s in [0, 1] gives a valid bound); the powers are scalar, as
     numpy's array pow rounds differently."""
-    s = float(_random_coding_lanes(channel, math.log2(m - 1) / n)[1][0])
+    s = float(_random_coding_lanes(channel, np.array([math.log2(m - 1) / n]))[1][0])
     return float(2.0 * (m - 1) ** s * (2.0 ** (-e0(channel, s))) ** n)
 
 
@@ -580,6 +580,8 @@ def run_ensemble(channel: CQChannel, m: int, n: int, *, trials: int | None = Non
 def verify_markov_bound(channel: CQChannel, m: int, n: int, r: float,
                         gamma: float) -> BoundCheck:
     """Exact check of P[P_e >= (gamma E[P_e^(1/r)])^r] <= 1/gamma for one order r >= 1:
-    run_ensemble's exhaustive check with r_list=(r,)."""
+    run_ensemble's exhaustive check with r_list=(r,); a bad r is refused here, as 'r'."""
+    if not 1.0 <= (r := _numbers(r, 0, "'r'")) < math.inf:
+        raise ValueError(f"'r' must be finite and >= 1, got {r}")
     return run_ensemble(channel, m, n, exhaustive=True, r_list=(r,),
                         gamma=gamma).markov_checks[0][1]

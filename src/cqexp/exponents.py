@@ -163,16 +163,20 @@ def _check_rate_count(count: int) -> None:
         raise ValueError(f"{count} rates exceed the cap {RATE_CAP} of one sweep")
 
 
-def _rates(rates) -> np.ndarray:
-    """The rates as a 1-d float array (one lane each), refused unless finite and >= 0."""
-    r = np.array(rates, dtype=float, ndmin=1)
-    _refuse_outside(rates, r, (0.0 <= r) & (r < math.inf), "rate must be finite and nonnegative")
+def _rates(rates, ndim: int) -> np.ndarray:
+    """The one rule for a rate: a number (ndim 0, 'rate') or a list, tuple or 1-d array of at
+    most RATE_CAP (ndim 1, 'rates'), each under _numbers' rule, finite and >= 0; one lane each."""
+    name = ("'rate'", "'rates'")[ndim]
+    if ndim and isinstance(rates, (list, tuple, np.ndarray)) and getattr(rates, "ndim", 1) == 1:
+        _check_rate_count(len(rates))  # before a long list is read
+        rates = list(rates)  # one rule for the three forms; any other value is refused whole
+    r = np.array(_numbers(rates, ndim, name), ndmin=1)
+    _refuse_outside(rates, r, (0.0 <= r) & (r < math.inf), f"{name} must be finite and nonnegative")
     return r
 
 
-def _random_coding_lanes(channel: CQChannel, rates) -> tuple[np.ndarray, np.ndarray]:
-    """E_r and its maximizing s at every rate, refined in lockstep (see random_coding_exponent)."""
-    r = _rates(rates)
+def _random_coding_lanes(channel: CQChannel, r) -> tuple[np.ndarray, np.ndarray]:
+    """E_r and its maximizing s at each rate in r, in lockstep (see random_coding_exponent)."""
     objective = _lanewise(lambda s, rate: e0(channel, s) - s * rate, r)
     s_best, v_best = maximize_on_grid(objective, _S_GRID,
                                       e0(channel, _S_GRID) - _S_GRID * r[:, None])
@@ -186,13 +190,12 @@ def random_coding_exponent(channel: CQChannel, rate: float) -> ExponentValue:
     Returns exactly 0 with maximizer 0 when the optimum sits at s = 0,
     which happens for every rate at or above the Holevo information.
     """
-    value, s_best = _random_coding_lanes(channel, rate)
+    value, s_best = _random_coding_lanes(channel, _rates(rate, 0))
     return ExponentValue(float(value[0]), float(s_best[0]), True)
 
 
-def _expurgated_lanes(channel: CQChannel, rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E_ex, its maximizer and convergence flag at every rate (see expurgated_exponent)."""
-    r = _rates(rates)
+def _expurgated_lanes(channel: CQChannel, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E_ex, its maximizer and convergence flag at every rate in r (see expurgated_exponent)."""
     vals = ex_function(channel, _R_GRID) - _R_GRID * r[:, None]
     climbing = (np.argmax(vals, axis=1) == _R_GRID.size - 1) & (vals[:, -1] > vals[:, -2])
     divergent = climbing & (r < 2.0 * expurgated_divergence_rate(channel) - DIVERGENCE_MARGIN)
@@ -214,7 +217,7 @@ def expurgated_exponent(channel: CQChannel, rate: float) -> ExponentValue:
     is at or above the slope, the supremum is the finite r -> infinity
     limit; the truncated value at r = 1e4 is returned with converged False.
     """
-    value, r_best, converged = _expurgated_lanes(channel, rate)
+    value, r_best, converged = _expurgated_lanes(channel, _rates(rate, 0))
     return ExponentValue(float(value[0]), float(r_best[0]), bool(converged[0]))
 
 
@@ -229,16 +232,15 @@ def _points(channel: CQChannel, rates: np.ndarray) -> ExponentCurve:
 
 def trc_lower_bound(channel: CQChannel, rate: float) -> RatePoint:
     """Typical-ensemble exponent lower bound max(E_r(R), E_ex(2R) + R) at one rate."""
-    return _points(channel, _rates(rate))[0]
+    return _points(channel, _rates(rate, 0))[0]
 
 
 def sweep(channel: CQChannel, rates) -> ExponentCurve:
-    """Evaluate trc_lower_bound over an ascending nonnegative rate grid of at most RATE_CAP
-    rates, in lockstep."""
-    r = _rates(np.ravel(rates))
+    """Evaluate trc_lower_bound over a nonempty ascending list, tuple or 1-d array of rates, in
+    lockstep; _rates refuses them under the name 'rates'."""
+    r = _rates(rates, 1)
     if r.size == 0:
         raise ValueError("rate grid is empty")
-    _check_rate_count(r.size)
     if np.any(np.diff(r) < 0):
         raise ValueError("rates must be sorted ascending")
     passes = np.array_split(r, -(-r.size // _SWEEP_LANES))

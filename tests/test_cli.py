@@ -153,6 +153,10 @@ def test_exponents_malformed_config_grid(tmp_path, capsys, doc, needle):
     assert cli.main(["exponents", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+    if "rates" in doc:  # the CLI prints the library's own message
+        with pytest.raises(ValueError) as exc:
+            sweep(channel_from_config(PAULI_DOC), doc["rates"])
+        assert err == f"error: {exc.value}\n"
 
 
 @pytest.mark.parametrize("given", ["flag", "config-grid", "config-rates"])
@@ -165,7 +169,9 @@ def test_a_rate_grid_over_the_cap_is_refused_before_it_is_built(tmp_path, capsys
                        {key: doc[key] for key in ("channel", given.split("-")[1])})
     flags = ["--grid", f"0:0.5:{cap + 1}"] if given == "flag" else []
     monkeypatch.setattr(np, "linspace", lambda *_: pytest.fail("the grid was built"))
-    monkeypatch.setattr("cqexp.exponents.sweep", lambda *_: pytest.fail("the sweep started"))
+    # config rates reach sweep, which refuses them before any rate is evaluated
+    started = "cqexp.exponents." + ("_points" if given == "config-rates" else "sweep")
+    monkeypatch.setattr(started, lambda *_: pytest.fail("the sweep started"))
     assert cli.main(["exponents", "--config", cfg, *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -270,6 +270,10 @@ def test_sweep_structure_and_validation():
         sweep(ch, [0.1, math.nan])
     with pytest.raises(ValueError, match="empty"):
         sweep(ch, [])
+    # a bool or a string is refused, not read as the number it converts to
+    for rates in ([0.1, True], ["0.1"], np.array([True, False])):
+        with pytest.raises(ValueError, match="^'rates' must be a list of numbers"):
+            sweep(ch, rates)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -287,11 +291,14 @@ def test_sweep_structure_and_validation():
     (lambda ch: optimal_tilt_estimate(ch, 4, 6, True), "^'gamma' must be a number, got True$"),
     (lambda ch: optimal_tilt_estimate(ch, 4, 6, "4"), "^'gamma' must be a number, got '4'$"),
     (lambda ch: verify_markov_bound(ch, 2, 2, 1.0, True), "^'gamma' must be a number, got True$"),
-    (lambda ch: verify_markov_bound(ch, 2, 2, "2", 2.0),
-     r"^'r_list' must be a list of numbers, got \['2'\]$"),
+    (lambda ch: verify_markov_bound(ch, 2, 2, "2", 2.0), "^'r' must be a number, got '2'$"),
+    (lambda ch: random_coding_exponent(ch, "0.1"), "^'rate' must be a number, got '0.1'$"),
+    (lambda ch: random_coding_exponent(ch, True), "^'rate' must be a number, got True$"),
+    (lambda ch: expurgated_exponent(ch, "0.1"), "^'rate' must be a number, got '0.1'$"),
+    (lambda ch: trc_lower_bound(ch, False), "^'rate' must be a number, got False$"),
 ], ids=["e0-inf", "e0-nan", "ex-inf", "ex-nan", "er-nan", "er-inf", "eex-nan", "trc-nan",
         "tilt-gamma-nan", "markov-r-inf", "tilt-gamma-bool", "tilt-gamma-str",
-        "markov-gamma-bool", "markov-r-str"])
+        "markov-gamma-bool", "markov-r-str", "er-str", "er-bool", "eex-str", "trc-bool"])
 def test_single_point_functions_reject_non_finite(call, match):
     with pytest.raises(ValueError, match=match):
         call(from_classical_dmc([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5]))
