@@ -264,13 +264,13 @@ def _floats(v, depth: int):
 def _numbers(value, ndim: int = 1, name: str = "value"):
     """A number (ndim 0: an int or float, numpy's included), list of numbers (1) or list of
     such lists (2), as floats nested alike; booleans, strings, null, objects and any other
-    nesting are refused under the given name.  The one rule for numbers in channel configs,
-    run documents, gamma, the tilt orders and the rates."""
+    nesting are refused under the given name, on one line (each whitespace run of the repr one
+    space).  The one rule for numbers in configs, run documents, gamma, tilts, orders and rates."""
     try:
         return _floats(value, ndim)
     except (TypeError, OverflowError):
         kind = ("a number", "a list of numbers", "a list of lists of numbers")[ndim]
-        raise ValueError(f"{name} must be {kind}, got {value!r}") from None
+        raise ValueError(f"{name} must be {kind}, got {' '.join(repr(value).split())}") from None
 
 
 def _count(value, least: int, rule: str) -> None:

@@ -10,9 +10,9 @@ bound plus slack: 1e-12 when exact, three standard errors in Monte-Carlo mode.
 
 The error of a codebook is the same on its orbit under message and position permutations
 and exact letter symmetries, and a constant column is a common tensor factor, so the decoder
-maps each distinct column histogram once to one orbit member (none varies: error 1 - 1/M).
-Two equal columns give each message a factor sigma (x) sigma that keeps symmetric and
-antisymmetric two-site vectors apart: p pairs split a member into 2**p block problems.
+maps each distinct column histogram to one orbit member and keys only that member's block
+problems (none varies: error 1 - 1/M).  Two equal columns give each message a factor sigma (x)
+sigma that keeps symmetric and antisymmetric two-site vectors apart: p pairs give 2**p problems.
 
 Caps: _check_book refuses a run past one before anything is drawn or enumerated (dimension
 d**n <= 4096, enumeration |X|**(M n) <= 2**20, 2**30 bytes of a codebook or of a run's draws);
@@ -135,9 +135,9 @@ def _check_book(channel: CQChannel, m: int, n: int, *, enumerated: bool = False,
     n >= 1 and the dimension d**n; with ``enumerated`` the k**(M n) codebooks; then against
     BOOK_BYTES_CAP the bytes of one codebook's codeword array, its product states (real when
     every letter is) and the orbit map's (M, M) int64 message distances and their sorted copy,
-    and with ``trials`` a Monte-Carlo run's draws.  A draw holds a distinct member, then its
-    block problem, as a key and stacked (16 M n), the block problem's M hits (8 M), and 250
-    bytes: a key's header and dict entry, a seed, orbit ids, weights, P_e."""
+    and with ``trials`` a Monte-Carlo run's draws.  A draw holds a distinct column histogram,
+    then a block problem, each as a key and a row (16 M n), the block problem's M hits (8 M),
+    and 250 bytes: a key's header and dict entry, a seed, orbit ids, weights, P_e."""
     _count(m, 2, "'m' must be an integer >= 2")
     _check_dims(channel, n)
     m, n, k = int(m), int(n), channel.alphabet_size
@@ -229,12 +229,11 @@ def _codeword_chunks(channel: CQChannel, m: int, n: int, chunk: int,
                      seeds=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(B, M, n) int64 codeword arrays, B <= chunk, with their (B,) weights: each codebook
     in itertools.product order (its index's mixed-radix digits) with its probability, or
-    per uint32 seed, or (T, w) entropy row, the default_rng(seed).choice(k, (M, n), p=Q) that
-    _uniforms draws a chunk at a time, weighted 1/len(seeds).  The caller prices the run
-    (_check_book)."""
+    per uint32 seed the default_rng(seed).choice(k, (M, n), p=Q) that _uniforms draws a chunk
+    at a time, weighted 1/len(seeds).  The caller prices the run (_check_book)."""
     k, q = channel.alphabet_size, channel.q.probabilities
     if seeds is not None:
-        entropy, cdf = np.asarray(seeds, dtype=np.uint32).reshape(len(seeds), -1), np.cumsum(q)
+        entropy, cdf = np.asarray(seeds, dtype=np.uint32)[:, None], np.cumsum(q)
         for lo in range(0, len(entropy), chunk):
             uniforms = _uniforms(entropy[lo:lo + chunk], m * n).reshape(-1, m, n)
             drawn = np.searchsorted(cdf / cdf[-1], uniforms, side="right")
@@ -247,11 +246,12 @@ def _codeword_chunks(channel: CQChannel, m: int, n: int, chunk: int,
 
 
 def sample_codebook(channel: CQChannel, m: int, n: int, seed: int) -> Codebook:
-    """Draw M codewords of length n i.i.d. from Q as default_rng(seed).choice(k, (M, n), p=Q)
-    does, from numpy's stream computed in integer arithmetic; the seed is a non-negative int."""
-    entropy = _entropy(seed)
+    """Draw M codewords of length n i.i.d. from Q by numpy's default_rng(seed).choice(k, (M, n),
+    p=Q), the oracle for _codeword_chunks' integer-arithmetic stream; the seed is an int >= 0."""
+    _entropy(seed)  # refuses a seed that is not a non-negative integer
     _check_book(channel, m, n)
-    (words,), _ = next(_codeword_chunks(channel, m, n, 1, entropy))
+    words = np.random.default_rng(seed).choice(channel.alphabet_size, (m, n),
+                                               p=channel.q.probabilities)
     return Codebook(m=m, n=n, codewords=words, provenance=("sampled", int(seed)))
 
 
@@ -416,18 +416,18 @@ def _orbit_members(words: np.ndarray, group: np.ndarray) -> np.ndarray:
     return words
 
 
-def _member_ids(members: np.ndarray, reps: dict) -> np.ndarray:
-    """Index of each row (an (M, n) book or block problem) in ``reps``, new ones last."""
-    keys = members.reshape(len(members), -1).view(f"V{members[0].size * 8}").ravel().tolist()
+def _row_ids(rows: np.ndarray, reps: dict) -> np.ndarray:
+    """Index of each (M, n) row, a column histogram or a block problem, in ``reps``, new last."""
+    keys = rows.reshape(len(rows), -1).view(f"V{rows[0].size * 8}").ravel().tolist()
     return np.array([reps.setdefault(key, len(reps)) for key in keys])
 
 
 def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = True,
                      trials: int | None = None, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Decode each enumerated (or drawn) codebook; return codebook probabilities and average
-    errors.  Each distinct column histogram (a codebook's columns sorted) is mapped once by
-    _orbit_members, each distinct member split once by _block_problems, and each distinct block
-    problem decoded once, batched by kind: each column's factor, none, a letter, or a pair's
+    errors.  One pass over each chunk of distinct column histograms (a codebook's columns
+    sorted) maps them by _orbit_members and splits them by _block_problems; each distinct block
+    problem is decoded once, batched by kind: each column's factor, none, a letter, or a pair's
     symmetric or antisymmetric block (no factor at all: P_e = 1 - 1/M exactly).  A kind's
     problems go in chunks of DECODE_CHUNK_BYTES // (M state bytes) problems (one at least),
     each built by one Kronecker chain of the validated letters' (real when all are) factors and
@@ -439,25 +439,21 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
     group = _letter_symmetries(letters)
     seeds = None if exhaustive else _seed_states(_entropy(seed), trials)[0]
     reps, orbits, weights = {}, [], []  # column histogram bytes -> histogram index
-    # codebooks of codewords or keys at once; a lane's seeding holds about 24 words (180 bytes)
+    # codebooks drawn at once; a lane's seeding holds about 24 words (180 bytes)
     chunk = max(1, DECODE_CHUNK_BYTES // (8 * max(m * n, 24)))
     for words, weight in _codeword_chunks(channel, m, n, chunk, seeds):
         columns = np.ascontiguousarray(words.swapaxes(1, 2)).view(f"V{8 * m}")  # (B, n, 1)
-        orbits.append(_member_ids(np.sort(columns, axis=1).view(np.int64).swapaxes(1, 2), reps))
+        orbits.append(_row_ids(np.sort(columns, axis=1).view(np.int64).swapaxes(1, 2), reps))
         weights.append(weight)
     keys, reps = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n), {}
     step = max(1, DECODE_CHUNK_BYTES // (8 * m * max(n * len(group), m)))  # images, distances
-    orbits = np.concatenate([_member_ids(_orbit_members(keys[lo:lo + step], group), reps)
-                             for lo in range(0, len(keys), step)])[np.concatenate(orbits)]
-    del keys  # not held beside the members' keys and their stack
-    members, reps = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n), {}
     k, owners, ids = len(letters), [], []
-    for lo in range(0, len(members), chunk):
-        problems, owner = _block_problems(members[lo:lo + chunk], k)
+    for lo in range(0, len(keys), step):
+        problems, owner = _block_problems(_orbit_members(keys[lo:lo + step], group), k)
         owners.append(owner + lo)
-        ids.append(_member_ids(problems, reps))
-    constant = (members[:, 0] < 0).all(axis=1)  # the all-constant member, of width 0
-    del members  # not held beside the block problems' keys and their stack
+        ids.append(_row_ids(problems, reps))
+    constant = (keys == keys[:, :1]).all(axis=(1, 2))  # every column constant: no factor
+    del keys  # not held beside the block problems' keys and their stack
     problems, reps = np.frombuffer(b"".join(reps), dtype=np.int64).reshape(len(reps), m, n), {}
     kinds, blocks = problems[:, 0] // k + 1, _pair_blocks(letters)  # a column's kind, 0 to 3
     hits = np.zeros((len(problems), m))  # no factor, or an empty antisymmetric block: no hits
@@ -474,10 +470,10 @@ def _decode_ensemble(channel: CQChannel, m: int, n: int, *, exhaustive: bool = T
                 outer = states[:, :, None, :, None] * right
                 states = outer.reshape(len(outer), outer.shape[1] * outer.shape[2], -1)
             hits[rows] = _pgm_hits(states.reshape(len(rows), m, dim, dim))
-    errors = np.ones((len(constant), m))  # a member's hits add over its block problems
+    errors = np.ones((len(constant), m))  # a histogram's hits add over its block problems
     np.subtract.at(errors, np.concatenate(owners), hits[np.concatenate(ids)])
     pes = np.where(constant, 1.0 - 1.0 / m, errors.clip(0.0, 1.0, out=errors).mean(axis=1))
-    return np.concatenate(weights), pes[orbits]
+    return np.concatenate(weights), pes[np.concatenate(orbits)]
 
 
 def _rc_mean_bound(channel: CQChannel, m: int, n: int) -> float:

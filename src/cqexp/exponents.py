@@ -94,11 +94,14 @@ def _json_real(x: float) -> float | str:
     return "inf" if math.isinf(x) else float(x)
 
 
-def _refuse_outside(raw, x: np.ndarray, ok: np.ndarray, rule: str) -> None:
-    """Raise ValueError(rule) naming a scalar ``raw``, or else the first entry of x not ok."""
+def _refuse_outside(raw, x: np.ndarray, ok: np.ndarray, rule: str, name: str = "") -> None:
+    """Raise ValueError(rule) naming a scalar ``raw``, or else the first entry of x not ok; with a
+    ``name``, first refuse under it an entry of raw that _numbers refuses (a bool, a string)."""
+    if name and not (isinstance(raw, np.ndarray) and raw.dtype.kind in "iuf"):  # no loop then
+        for entry in np.asarray(raw, dtype=object).flat:
+            _numbers(entry, 0, name)
     if not ok.all():
-        got = raw if np.ndim(raw) == 0 else x[~ok][0]
-        raise ValueError(f"{rule}, got {got}")
+        raise ValueError(f"{rule}, got {raw if np.ndim(raw) == 0 else x[~ok][0]}")
 
 
 def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +121,7 @@ def e0(channel: CQChannel, s):
     distinct tilt computed once (-0.0 with 0.0: both give the same bits).
     """
     t = np.asarray(s, dtype=float)
-    _refuse_outside(s, t, (-1.0 < t) & (t < math.inf), "E0 tilt must exceed -1 and be finite")
+    _refuse_outside(s, t, (-1 < t) & (t < math.inf), "E0 tilt must exceed -1 and be finite", "'s'")
     tilts, inverse = _distinct(t.ravel())
     # one exponent per eigenvalue, never broadcast: numpy swaps pow for sqrt or a square
     # on a broadcast 0.5 or 2, for some batch shapes only, so values would follow the batch
@@ -144,7 +147,7 @@ def ex_function(channel: CQChannel, r):
     order gives a float, an array an array of its shape, each distinct order computed once.
     """
     x = np.asarray(r, dtype=float)
-    _refuse_outside(r, x, (0.0 < x) & (x < math.inf), "Ex order must be positive and finite")
+    _refuse_outside(r, x, (0.0 < x) & (x < math.inf), "Ex order must be positive and finite", "'r'")
     (v, inverse), q, g = _distinct(x.ravel()), channel.q.probabilities, channel.overlap_gram
     # every order in one stack, bit-equal to its own (q @ g ** t) @ q with t = 1/r (0**t == 0):
     # one pow exponent per entry, never a broadcast scalar; t = 0.5 and 2 take the sqrt and

@@ -37,6 +37,7 @@ from cqexp import (
 )
 from cqexp.ensemble import (
     DECODE_CHUNK_BYTES,
+    _block_problems,
     _codeword_chunks,
     _decode_ensemble,
     _entropy,
@@ -486,6 +487,27 @@ def test_decoding_builds_each_product_state_once(monkeypatch):
     monkeypatch.setattr("cqexp.ensemble._decode_ensemble", slow_decode)
     slow = run_ensemble(ch, m, n, exhaustive=True, gamma=4.0)
     assert_same_report(slow.to_json_dict(), report.to_json_dict())
+    monkeypatch.undo()
+
+    # Monte Carlo on simulate_mu095.json: many distinct histograms share one orbit member, and
+    # the block-problem key alone merges their problems, so each is still decoded once
+    members, decoded = [], []
+
+    def recording_orbit_members(words, group):
+        mapped = _orbit_members(words, group)
+        members.extend(mapped)
+        return mapped
+
+    monkeypatch.setattr("cqexp.ensemble._orbit_members", recording_orbit_members)
+    monkeypatch.setattr("cqexp.ensemble._pgm_hits", recording_pgm_hits)
+    sim = channel_from_config(json.loads((CONFIGS / "simulate_mu095.json").read_text())["channel"])
+    run_ensemble(sim, 4, 6, trials=1000, seed=1)
+    distinct = np.unique(np.array(members), axis=0)
+    assert len(members) > 4 * len(distinct)  # one member per distinct histogram, few distinct
+    problems = np.unique(_block_problems(distinct, 2)[0], axis=0)
+    # one decode per distinct block problem (the all-constant one has no factor); an equal
+    # antisymmetric block of either letter may still give two problems the same states
+    assert len(decoded) == np.any(problems[:, 0] >= 0, axis=1).sum()
 
 
 def test_each_column_histogram_is_mapped_once(monkeypatch):
@@ -771,7 +793,9 @@ def test_monte_carlo_draws_are_generator_choice(q):
 # --- the in-house stream, bit for bit against numpy.random as the oracle ---
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 200 + 12345])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 9, 2 ** 64 + 5,
+                                  2 ** 128 + 1, 2 ** 200 + 12345, np.uint32(7), np.int64(2 ** 40),
+                                  np.uint64(2 ** 64 - 1)])
 @pytest.mark.parametrize("trials", [2, 3, 5, 1000, 4097])
 def test_sub_seeds_are_seed_sequence_state(seed, trials):
     got = _seed_states(_entropy(seed), trials)

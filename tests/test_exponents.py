@@ -274,6 +274,11 @@ def test_sweep_structure_and_validation():
     for rates in ([0.1, True], ["0.1"], np.array([True, False])):
         with pytest.raises(ValueError, match="^'rates' must be a list of numbers"):
             sweep(ch, rates)
+    # an array's repr breaks its rows over lines; the refusal is still one line
+    with pytest.raises(ValueError) as refused:
+        sweep(ch, np.zeros((2, 3)))
+    assert str(refused.value) == ("'rates' must be a list of numbers, "
+                                  "got array([[0., 0., 0.], [0., 0., 0.]])")
 
 
 @pytest.mark.parametrize("call, match", [
@@ -296,9 +301,18 @@ def test_sweep_structure_and_validation():
     (lambda ch: random_coding_exponent(ch, True), "^'rate' must be a number, got True$"),
     (lambda ch: expurgated_exponent(ch, "0.1"), "^'rate' must be a number, got '0.1'$"),
     (lambda ch: trc_lower_bound(ch, False), "^'rate' must be a number, got False$"),
+    (lambda ch: e0(ch, "0.3"), "^'s' must be a number, got '0.3'$"),
+    (lambda ch: e0(ch, True), "^'s' must be a number, got True$"),
+    (lambda ch: e0(ch, np.array([0.5, 1.0]) > 0.7), "^'s' must be a number, got False$"),
+    (lambda ch: e0(ch, [0.1, True]), "^'s' must be a number, got True$"),
+    (lambda ch: ex_function(ch, "2"), "^'r' must be a number, got '2'$"),
+    (lambda ch: ex_function(ch, True), "^'r' must be a number, got True$"),
+    (lambda ch: ex_function(ch, np.array([[True]])), "^'r' must be a number, got True$"),
 ], ids=["e0-inf", "e0-nan", "ex-inf", "ex-nan", "er-nan", "er-inf", "eex-nan", "trc-nan",
         "tilt-gamma-nan", "markov-r-inf", "tilt-gamma-bool", "tilt-gamma-str",
-        "markov-gamma-bool", "markov-r-str", "er-str", "er-bool", "eex-str", "trc-bool"])
+        "markov-gamma-bool", "markov-r-str", "er-str", "er-bool", "eex-str", "trc-bool",
+        "e0-str", "e0-bool", "e0-bool-array", "e0-bool-in-list", "ex-str", "ex-bool",
+        "ex-bool-array"])
 def test_single_point_functions_reject_non_finite(call, match):
     with pytest.raises(ValueError, match=match):
         call(from_classical_dmc([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5]))
